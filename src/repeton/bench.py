@@ -4,7 +4,7 @@ Tasks come from a JSONL file, one object per line. Each task runs in
 its own isolated workspace, so any parallelism degree produces the same
 reports in the same (input) order. An optional per-task validation
 command can confirm a Resolved outcome; it can only ever downgrade,
-never upgrade.
+never upgrade. It runs with the same scrubbed environment as tests.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from pathlib import Path
 from .agentio import Backend
 from .errors import DuplicateId, EmptyBatch, ParseError
 from .orchestrator import IrvConfig, RunOutcome, RunReport, run_irv
+from .testkit import scrubbed_env
 from .workspace import DiffDocument
 
 logger = logging.getLogger(__name__)
@@ -120,6 +121,7 @@ def _validation_passes(task: TaskInstance, report: RunReport) -> bool:
         proc = subprocess.run(
             shlex.split(task.validation_command),
             cwd=report.workspace_root,
+            env=scrubbed_env(),
             capture_output=True,
             timeout=task.time_limit_s or VALIDATION_DEFAULT_TIMEOUT_S,
         )

@@ -532,9 +532,10 @@ def _dispatch(run: _RunContext, turn: ReactTurn) -> tuple[str, bool]:
             )
             diff = machine.apply_region_edit(edit)
             run.note("edit-applied")
-            cumulative = compute_diff(ws, run.base_snapshot)
-            if run.first_candidate is None and not cumulative.is_empty:
-                run.first_candidate = cumulative
+            if run.config.keep_first_passing and run.first_candidate is None:
+                cumulative = compute_diff(ws, run.base_snapshot)
+                if not cumulative.is_empty:
+                    run.first_candidate = cumulative
             return f"Edit applied. Diff:\n{_clip(diff.text)}", False
 
         if turn.action == "rollback":

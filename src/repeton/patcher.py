@@ -35,7 +35,7 @@ from .workspace import (
     DiffDocument,
     Snapshot,
     Workspace,
-    compute_diff,
+    file_diff,
     restore_snapshot,
     take_snapshot,
 )
@@ -255,7 +255,8 @@ class IcsrMachine:
             )
 
         target = self.ws.root / edit.path
-        content = target.read_bytes().decode("utf-8", errors="surrogateescape")
+        old_bytes = target.read_bytes()
+        content = old_bytes.decode("utf-8", errors="surrogateescape")
         lines = content.splitlines(keepends=True)
         if edit.end_line > len(lines):
             raise SpanOutOfBounds(
@@ -266,14 +267,12 @@ class IcsrMachine:
         replacement = edit.replacement_text
         if replacement and not replacement.endswith("\n"):
             replacement += "\n"
-        pre_edit = take_snapshot(self.ws, stage_label="pre-edit")
         new_lines = lines[: edit.start_line - 1]
         if replacement:
             new_lines.extend(replacement.splitlines(keepends=True))
         new_lines.extend(lines[edit.end_line:])
-        target.write_bytes(
-            "".join(new_lines).encode("utf-8", errors="surrogateescape")
-        )
+        new_bytes = "".join(new_lines).encode("utf-8", errors="surrogateescape")
+        target.write_bytes(new_bytes)
 
         state.edit_applied = True
-        return compute_diff(self.ws, pre_edit)
+        return file_diff(edit.path, old_bytes, new_bytes)

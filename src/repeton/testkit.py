@@ -3,7 +3,8 @@
 Harness-authored tests live under the reserved ``.repeton_tests/``
 directory inside the workspace, which snapshots and diffs never see, so
 a patch can never smuggle its own test along. Tests run as subprocesses
-in their own session with ``REPETON=1`` exported and are killed as a
+in their own session with ``REPETON=1`` exported and only an
+allow-listed part of the harness environment, and are killed as a
 whole process tree on timeout.
 
 Classification is rule-ordered and deterministic; an optional judge
@@ -28,6 +29,9 @@ from .workspace import RESERVED_TEST_DIR, Workspace
 logger = logging.getLogger(__name__)
 
 RUN_ENV_FLAG = "REPETON"
+# What agent-written code may inherit from the harness environment. The
+# rest, API keys included, stays out of its reach.
+_INHERITED_ENV = ("PATH", "HOME", "TMPDIR", "LANG", "LANGUAGE")
 DEFAULT_TIMEOUT_S = 120.0
 OUTPUT_CAP_BYTES = 8 * 1024
 EXCERPT_CAP_CHARS = 4 * 1024
@@ -107,17 +111,30 @@ def materialize_test(ws: Workspace, artifact: TestArtifact) -> None:
     logger.info("materialized %s (version %d)", artifact.file_name, artifact.version)
 
 
+def scrubbed_env() -> dict[str, str]:
+    """Environment for agent-written code: the allow-list, locale, the flag."""
+    env = {
+        name: value
+        for name, value in os.environ.items()
+        if name in _INHERITED_ENV or name.startswith("LC_")
+    }
+    env[RUN_ENV_FLAG] = "1"
+    # Bytecode caches are keyed by the source's whole-second mtime and
+    # size, so a same-size edit within a second would run stale code.
+    env["PYTHONDONTWRITEBYTECODE"] = "1"
+    return env
+
+
 def run_test(
     ws: Workspace, artifact: TestArtifact, limits: TestLimits = TestLimits()
 ) -> ExecutionResult:
     """Execute the test at the workspace root with bounded output."""
-    env = {**os.environ, RUN_ENV_FLAG: "1"}
     start = time.monotonic()
     try:
         proc = subprocess.Popen(
             list(artifact.invocation),
             cwd=ws.root,
-            env=env,
+            env=scrubbed_env(),
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
             start_new_session=True,

@@ -5,6 +5,15 @@ the base revision. Snapshots record a digest per file and park the file
 bytes in a content-addressed store next to the clone, so any earlier
 tree state can be restored exactly. Git is shelled out to for clone and
 checkout only; snapshots, restores and diffs never touch it.
+
+Snapshot, diff and restore share one scan of the tree. It stats every
+file and reads and hashes only those whose ``(size, mtime_ns, ino,
+ctime_ns)`` key misses the workspace's in-memory stat cache. A digest
+enters the cache only when the file's mtime and ctime are strictly
+older than a reference time read from the file system's own clock at
+the start of the scan; this is git's racy-clean rule. A file written in
+the same timestamp tick as its scan could change again without changing
+its key, so it is read again on the next scan.
 """
 
 from __future__ import annotations
@@ -16,7 +25,7 @@ import os
 import subprocess
 import tempfile
 from dataclasses import dataclass, field
-from pathlib import Path
+from pathlib import Path, PurePosixPath
 
 from .errors import (
     DirtyTarget,
@@ -41,6 +50,12 @@ DEFAULT_IGNORED_SUFFIXES = frozenset({".pyc"})
 _DIFF_CONTEXT = 3
 _NO_NEWLINE_MARKER = "\n\\ No newline at end of file\n"
 
+# Touched at the start of every scan, in the control dir; its mtime is
+# the scan's reference time on the file system's clock.
+_CLOCK_MARKER = "scan-clock"
+
+_StatKey = tuple[int, int, int, int]
+
 
 @dataclass
 class Workspace:
@@ -52,6 +67,12 @@ class Workspace:
     ignored_dirs: frozenset[str] = DEFAULT_IGNORED_DIRS
     ignored_suffixes: frozenset[str] = DEFAULT_IGNORED_SUFFIXES
     _snapshot_serial: int = field(default=0, repr=False)
+    # path -> (stat key, digest) for files settled before the last scan.
+    _stat_cache: dict[str, tuple[_StatKey, str]] = field(
+        default_factory=dict, repr=False, compare=False
+    )
+    # Digests whose bytes are in the object store.
+    _parked: set[str] = field(default_factory=set, repr=False, compare=False)
 
     @property
     def objects_dir(self) -> Path:
@@ -153,32 +174,71 @@ def tracked_files(ws: Workspace) -> list[str]:
     return sorted(found)
 
 
-def _read_bytes(path: Path) -> bytes:
+def _read_bytes(path: str | Path) -> bytes:
     try:
-        return path.read_bytes()
+        with open(path, "rb") as handle:
+            return handle.read()
     except OSError as exc:
         raise IoFailure(f"cannot read {path}: {exc}") from exc
 
 
+def _fs_clock(ws: Workspace) -> int:
+    """Now, in nanoseconds, on the clock that stamps the tree's files."""
+    marker = ws.control_dir / _CLOCK_MARKER
+    try:
+        marker.touch()
+        return os.stat(marker).st_mtime_ns
+    except OSError as exc:
+        raise IoFailure(f"cannot touch {marker}: {exc}") from exc
+
+
+def _scan(ws: Workspace, park: bool) -> dict[str, str]:
+    """Digest of every file a snapshot covers, keyed by relative path.
+
+    Reads only the files whose stat key misses the cache. With ``park``
+    every digest's bytes also end up in the object store, so a file
+    whose digest only a diff has seen is read once more and parked.
+    """
+    reference = _fs_clock(ws)
+    root = str(ws.root)
+    cache: dict[str, tuple[_StatKey, str]] = {}
+    digests: dict[str, str] = {}
+    for rel in tracked_files(ws):
+        path = os.path.join(root, rel)
+        try:
+            st = os.stat(path)
+        except OSError as exc:
+            raise IoFailure(f"cannot stat {path}: {exc}") from exc
+        key = (st.st_size, st.st_mtime_ns, st.st_ino, st.st_ctime_ns)
+        hit = ws._stat_cache.get(rel)
+        if hit is not None and hit[0] == key and (not park or hit[1] in ws._parked):
+            cache[rel] = hit
+            digests[rel] = hit[1]
+            continue
+        data = _read_bytes(path)
+        digest = hashlib.sha256(data).hexdigest()
+        if park and digest not in ws._parked:
+            blob = ws.objects_dir / digest
+            if not blob.exists():
+                try:
+                    blob.write_bytes(data)
+                except OSError as exc:
+                    raise IoFailure(f"cannot store blob for {rel}: {exc}") from exc
+            ws._parked.add(digest)
+        digests[rel] = digest
+        if st.st_mtime_ns < reference and st.st_ctime_ns < reference:
+            cache[rel] = (key, digest)
+    ws._stat_cache = cache
+    return digests
+
+
 def take_snapshot(ws: Workspace, stage_label: str = "") -> Snapshot:
     """Record the current tree and park its bytes for later restore."""
-    digest_map: dict[str, str] = {}
     try:
         ws.objects_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise IoFailure(f"cannot create object store: {exc}") from exc
-
-    for rel in tracked_files(ws):
-        data = _read_bytes(ws.root / rel)
-        digest = hashlib.sha256(data).hexdigest()
-        digest_map[rel] = digest
-        blob = ws.objects_dir / digest
-        if not blob.exists():
-            try:
-                blob.write_bytes(data)
-            except OSError as exc:
-                raise IoFailure(f"cannot store blob for {rel}: {exc}") from exc
-
+    digest_map = _scan(ws, park=True)
     ws._snapshot_serial += 1
     return Snapshot(
         snapshot_id=f"snap-{ws._snapshot_serial:04d}",
@@ -192,29 +252,33 @@ def _blob_bytes(ws: Workspace, digest: str) -> bytes:
     return _read_bytes(ws.objects_dir / digest)
 
 
+def _check_owner(ws: Workspace, snap: Snapshot) -> None:
+    if snap.instance_id != ws.instance_id:
+        raise ForeignSnapshot(
+            f"snapshot {snap.snapshot_id} belongs to {snap.instance_id!r}"
+        )
+
+
 def restore_snapshot(ws: Workspace, snap: Snapshot) -> None:
     """Return the tree to ``snap``, byte for byte.
 
     Files missing from the snapshot are deleted; changed or deleted
     files are rewritten from the object store.
     """
-    if snap.instance_id != ws.instance_id:
-        raise ForeignSnapshot(
-            f"snapshot {snap.snapshot_id} belongs to {snap.instance_id!r}"
-        )
-    current = tracked_files(ws)
+    _check_owner(ws, snap)
+    current = _scan(ws, park=False)
     try:
         for rel in current:
             if rel not in snap.digest_map:
                 (ws.root / rel).unlink()
+                ws._stat_cache.pop(rel, None)
         for rel, digest in snap.digest_map.items():
+            if current.get(rel) == digest:
+                continue
             target = ws.root / rel
-            if target.exists():
-                data = target.read_bytes()
-                if hashlib.sha256(data).hexdigest() == digest:
-                    continue
             target.parent.mkdir(parents=True, exist_ok=True)
             target.write_bytes(_blob_bytes(ws, digest))
+            ws._stat_cache.pop(rel, None)
     except OSError as exc:
         raise IoFailure(f"restore of {snap.snapshot_id} failed: {exc}") from exc
 
@@ -237,47 +301,53 @@ def _mark_missing_newlines(lines: list[str]) -> list[str]:
     return out
 
 
+def file_diff(rel: str, old: bytes | None, new: bytes | None) -> DiffDocument:
+    """Unified diff of one file; ``None`` marks a side where it is absent.
+
+    ``rel`` is the path relative to the tree root. Paths are normalised
+    the way ``tracked_files`` spells them.
+    """
+    rel = PurePosixPath(rel).as_posix()
+    lines = list(
+        difflib.unified_diff(
+            _split_lines(old or b""),
+            _split_lines(new or b""),
+            fromfile="/dev/null" if old is None else f"a/{rel}",
+            tofile="/dev/null" if new is None else f"b/{rel}",
+            n=_DIFF_CONTEXT,
+        )
+    )
+    return DiffDocument(
+        text="".join(_mark_missing_newlines(lines)),
+        files_touched=1 if lines else 0,
+        hunk_count=sum(1 for line in lines if line.startswith("@@ ")),
+    )
+
+
 def compute_diff(ws: Workspace, snap: Snapshot) -> DiffDocument:
     """Unified diff from ``snap`` to the current tree.
 
     Paths carry ``a/``/``b/`` prefixes with three context lines, so the
     text applies with a standard patch utility run at the tree root.
+    Only paths whose digests differ are read.
     """
-    if snap.instance_id != ws.instance_id:
-        raise ForeignSnapshot(
-            f"snapshot {snap.snapshot_id} belongs to {snap.instance_id!r}"
-        )
-
-    current = set(tracked_files(ws))
-    all_paths = sorted(current | set(snap.digest_map))
+    _check_owner(ws, snap)
+    current = _scan(ws, park=False)
+    old = snap.digest_map
     pieces: list[str] = []
     files_touched = 0
     hunk_count = 0
-
-    for rel in all_paths:
-        in_old = rel in snap.digest_map
-        in_new = rel in current
-        old_data = _blob_bytes(ws, snap.digest_map[rel]) if in_old else b""
-        new_data = _read_bytes(ws.root / rel) if in_new else b""
-        if in_old and in_new and old_data == new_data:
+    for rel in sorted(current.keys() | old.keys()):
+        if old.get(rel) == current.get(rel):
             continue
-
-        from_file = f"a/{rel}" if in_old else "/dev/null"
-        to_file = f"b/{rel}" if in_new else "/dev/null"
-        lines = list(
-            difflib.unified_diff(
-                _split_lines(old_data),
-                _split_lines(new_data),
-                fromfile=from_file,
-                tofile=to_file,
-                n=_DIFF_CONTEXT,
-            )
+        one = file_diff(
+            rel,
+            _blob_bytes(ws, old[rel]) if rel in old else None,
+            _read_bytes(ws.root / rel) if rel in current else None,
         )
-        if not lines:
-            continue
-        files_touched += 1
-        hunk_count += sum(1 for line in lines if line.startswith("@@ "))
-        pieces.extend(_mark_missing_newlines(lines))
+        pieces.append(one.text)
+        files_touched += one.files_touched
+        hunk_count += one.hunk_count
 
     return DiffDocument(
         text="".join(pieces),

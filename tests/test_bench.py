@@ -199,6 +199,21 @@ def test_failing_validation_downgrades_to_unresolved(calc_repo, tmp_path):
     assert summary.counts[RunOutcome.Resolved] == 0
 
 
+def test_validation_cannot_read_harness_secrets(calc_repo, tmp_path, monkeypatch):
+    monkeypatch.setenv("REPETON_API_KEY", "sk-harness-secret")
+    task = validated_task(
+        calc_repo,
+        'python3 -c "import os; assert \'REPETON_API_KEY\' not in os.environ"',
+    )
+    reports, _ = run_bench(
+        [task], 1,
+        IrvConfig(work_root=str(tmp_path / "work")),
+        ScriptedBackend(calcfix.resolved_script()),
+    )
+    assert reports[0].outcome is RunOutcome.Resolved
+    assert "validation-downgrade" not in reports[0].event_names
+
+
 def test_validation_never_upgrades_other_outcomes(calc_repo, tmp_path):
     task = TaskInstance(
         instance_id="calc-validated",

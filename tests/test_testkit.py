@@ -113,6 +113,20 @@ def test_run_test_runs_from_workspace_root_with_flag_set(calc_ws):
     assert run_test(calc_ws, art).exit_code == 0
 
 
+def test_run_test_hides_harness_secrets(calc_ws, monkeypatch):
+    monkeypatch.setenv("REPETON_API_KEY", "sk-harness-secret")
+    monkeypatch.setenv("LC_ALL", "C.UTF-8")
+    art = artifact(
+        "import os\n"
+        "print(os.environ.get('REPETON_API_KEY', 'no key'))\n"
+        "print(os.environ.get('LC_ALL'))\n"
+    )
+    materialize_test(calc_ws, art)
+    run = run_test(calc_ws, art)
+    assert run.exit_code == 0
+    assert run.stdout_tail.split() == ["no", "key", "C.UTF-8"]
+
+
 def test_run_test_kills_overrunning_process_group(calc_ws):
     art = artifact(
         "import subprocess, sys, time\n"

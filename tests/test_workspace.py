@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import hashlib
+import os
 import random
+import time
 
 import pytest
 
 import oracles
+from repeton import workspace
 from repeton.errors import (
     DirtyTarget,
     ForeignSnapshot,
@@ -213,3 +217,149 @@ def test_random_mutation_sequences_restore_exactly(calc_ws):
         restore_snapshot(calc_ws, snap)
         assert oracles.tree_bytes(calc_ws.root) == frozen
         assert compute_diff(calc_ws, snap).is_empty
+
+
+# ---- the stat cache ----
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _let_clock_pass(ws) -> None:
+    """Wait until the file system's clock is past every file's mtime and
+    ctime, so the next scan may cache all of them."""
+    newest = max(
+        max(st.st_mtime_ns, st.st_ctime_ns)
+        for st in (os.stat(ws.root / rel) for rel in tracked_files(ws))
+    )
+    probe = ws.control_dir / "clock-probe"
+    deadline = time.monotonic() + 10
+    while True:
+        probe.touch()
+        if os.stat(probe).st_mtime_ns > newest:
+            return
+        assert time.monotonic() < deadline, "file system clock did not advance"
+        time.sleep(0.002)
+
+
+def _record_reads(monkeypatch) -> list[str]:
+    reads: list[str] = []
+    real = workspace._read_bytes
+
+    def counting(path):
+        reads.append(os.fspath(path))
+        return real(path)
+
+    monkeypatch.setattr(workspace, "_read_bytes", counting)
+    return reads
+
+
+def test_settled_tree_is_scanned_without_reading_bytes(calc_ws, monkeypatch):
+    _let_clock_pass(calc_ws)
+    first = take_snapshot(calc_ws, "first")
+    reads = _record_reads(monkeypatch)
+    second = take_snapshot(calc_ws, "second")
+    assert compute_diff(calc_ws, first).is_empty
+    restore_snapshot(calc_ws, first)
+    assert reads == []
+    assert second.digest_map == first.digest_map
+
+
+def test_one_file_change_reads_only_that_file_and_its_blob(calc_ws, monkeypatch):
+    _let_clock_pass(calc_ws)
+    snap = take_snapshot(calc_ws, "base")
+    (calc_ws.root / "util.py").write_text("CHANGED = True\n")
+    reads = _record_reads(monkeypatch)
+    diff = compute_diff(calc_ws, snap)
+    assert diff.files_touched == 1
+    assert "+CHANGED = True" in diff.text
+    assert set(reads) == {
+        str(calc_ws.root / "util.py"),
+        str(calc_ws.objects_dir / snap.digest_map["util.py"]),
+    }
+
+
+def test_digest_learned_by_diff_is_parked_by_next_snapshot(calc_ws):
+    base = take_snapshot(calc_ws, "base")
+    target = calc_ws.root / "util.py"
+    target.write_text("LEARNED = 1\n")
+    learned = _sha(target.read_bytes())
+    _let_clock_pass(calc_ws)
+    assert compute_diff(calc_ws, base).files_touched == 1
+    assert not (calc_ws.objects_dir / learned).exists()
+
+    snap = take_snapshot(calc_ws, "after")
+    assert snap.digest_map["util.py"] == learned
+    assert (calc_ws.objects_dir / learned).read_bytes() == b"LEARNED = 1\n"
+
+    frozen = oracles.tree_bytes(calc_ws.root)
+    target.unlink()
+    (calc_ws.root / "calc.py").write_text("gone\n")
+    restore_snapshot(calc_ws, snap)
+    assert oracles.tree_bytes(calc_ws.root) == frozen
+
+
+def test_same_size_rewrite_with_restored_mtime_is_seen(calc_ws):
+    target = calc_ws.root / "util.py"
+    original = target.read_bytes()
+    _let_clock_pass(calc_ws)
+    snap = take_snapshot(calc_ws, "base")
+    before = os.stat(target)
+
+    target.write_bytes(original.swapcase())
+    os.utime(target, ns=(before.st_atime_ns, before.st_mtime_ns))
+    after = os.stat(target)
+    assert (after.st_size, after.st_mtime_ns, after.st_ino) == (
+        before.st_size, before.st_mtime_ns, before.st_ino
+    )
+
+    assert compute_diff(calc_ws, snap).files_touched == 1
+    assert take_snapshot(calc_ws, "rewritten").digest_map["util.py"] == _sha(
+        original.swapcase()
+    )
+    restore_snapshot(calc_ws, snap)
+    assert target.read_bytes() == original
+
+
+def _whole_second_stat(real_stat):
+    """``os.stat`` as seen on a file system that stamps whole seconds."""
+    second = 10**9
+
+    def stat(path, *args, **kwargs):
+        st = real_stat(path, *args, **kwargs)
+        fields = {name: getattr(st, name) for name in dir(st) if name.startswith("st_")}
+        for kind in ("mtime", "ctime"):
+            floored = fields[f"st_{kind}_ns"] // second * second
+            fields[f"st_{kind}_ns"] = floored
+            fields[f"st_{kind}"] = float(floored // second)
+        return os.stat_result(tuple(st[:10]), fields)
+
+    return stat
+
+
+def test_same_size_rewrites_within_one_coarse_tick_are_seen(calc_ws, monkeypatch):
+    monkeypatch.setattr(os, "stat", _whole_second_stat(os.stat))
+    rng = random.Random(20261017)
+    for case in range(45):
+        rel = rng.choice(tracked_files(calc_ws))
+        target = calc_ws.root / rel
+        original = target.read_bytes()
+        frozen = oracles.tree_bytes(calc_ws.root)
+        snap = take_snapshot(calc_ws, f"case-{case}")
+        assert compute_diff(calc_ws, snap).is_empty
+
+        spot = rng.randrange(len(original))
+        swapped = b"x" if original[spot] != ord("x") else b"y"
+        rewritten = original[:spot] + swapped + original[spot + 1:]
+        target.write_bytes(rewritten)
+
+        operation = case % 3
+        if operation == 0:
+            assert take_snapshot(calc_ws, "seen").digest_map[rel] == _sha(rewritten)
+        elif operation == 1:
+            assert compute_diff(calc_ws, snap).files_touched == 1
+        else:
+            restore_snapshot(calc_ws, snap)
+            assert target.read_bytes() == original
+        restore_snapshot(calc_ws, snap)
+        assert oracles.tree_bytes(calc_ws.root) == frozen

@@ -17,7 +17,7 @@ import re
 from dataclasses import dataclass
 
 from .errors import FileNotFound, NotText, RangeOutOfBounds, SymbolNotFound
-from .workspace import Workspace
+from .workspace import Workspace, confined_path
 
 TAB_COLUMNS = 8
 
@@ -203,7 +203,7 @@ def parse_outline(text: str, path: str = "<memory>") -> FileOutline:
 
 
 def _load_text(ws: Workspace, path: str) -> str:
-    full = ws.root / path
+    full = confined_path(ws, path)
     if not full.is_file():
         raise FileNotFound(f"no such file in workspace: {path}")
     data = full.read_bytes()

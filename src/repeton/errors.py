@@ -34,6 +34,10 @@ class ForeignSnapshot(RepetonError):
     """Snapshot belongs to a different workspace."""
 
 
+class PathEscape(RepetonError):
+    """Path is absolute or leads out of the workspace."""
+
+
 # ---- codesearch ----
 
 class EmptyQuery(RepetonError):

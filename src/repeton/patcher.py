@@ -35,6 +35,7 @@ from .workspace import (
     DiffDocument,
     Snapshot,
     Workspace,
+    confined_path,
     file_diff,
     restore_snapshot,
     take_snapshot,
@@ -170,7 +171,8 @@ class IcsrMachine:
                 raise StageIncomplete("FileSearch stage needs a non-empty MatchSet")
             self._enter(IcsrStage.Outline)
         elif stage is IcsrStage.Outline:
-            if not isinstance(evidence, str) or not (self.ws.root / evidence).is_file():
+            path = evidence if isinstance(evidence, str) else None
+            if path is None or not confined_path(self.ws, path).is_file():
                 raise StageIncomplete(
                     f"Outline stage needs an existing file path, got {evidence!r}"
                 )
@@ -224,7 +226,7 @@ class IcsrMachine:
             raise StageIncomplete(
                 f"cannot switch files during {state.stage.name}"
             )
-        if not (self.ws.root / new_path).is_file():
+        if not confined_path(self.ws, new_path).is_file():
             raise FileNotFound(f"no such file in workspace: {new_path}")
 
         reset_to = state.checkpoints.get(IcsrStage.Edit) or state.checkpoints[
@@ -254,7 +256,7 @@ class IcsrMachine:
                 "an edit is already pending in this iteration"
             )
 
-        target = self.ws.root / edit.path
+        target = confined_path(self.ws, edit.path)
         old_bytes = target.read_bytes()
         content = old_bytes.decode("utf-8", errors="surrogateescape")
         lines = content.splitlines(keepends=True)

@@ -1,19 +1,25 @@
 """Isolated working copies with byte-exact snapshot and diff support.
 
 A workspace is a private clone of the target repository checked out at
-the base revision. Snapshots record a digest per file and park the file
-bytes in a content-addressed store next to the clone, so any earlier
-tree state can be restored exactly. Git is shelled out to for clone and
-checkout only; snapshots, restores and diffs never touch it.
+the base revision. Snapshots record a SHA-256 digest per file and park
+the bytes of each new digest in one append-only pack next to the clone
+(``<control_dir>/objects.pack``, after git's packfiles), so any earlier
+tree state can be restored exactly. An in-memory index maps each digest
+to its offset and length in the pack; an entry joins it only once its
+bytes are flushed. Every read from the pack is hashed again and checked
+against its digest, so restore and diff never emit bytes a snapshot did
+not record. Git is shelled out to for clone and checkout only;
+snapshots, restores and diffs never touch it.
 
-Snapshot, diff and restore share one scan of the tree. It stats every
-file and reads and hashes only those whose ``(size, mtime_ns, ino,
-ctime_ns)`` key misses the workspace's in-memory stat cache. A digest
-enters the cache only when the file's mtime and ctime are strictly
-older than a reference time read from the file system's own clock at
-the start of the scan; this is git's racy-clean rule. A file written in
-the same timestamp tick as its scan could change again without changing
-its key, so it is read again on the next scan.
+Snapshot, diff and restore share one scan of the tree: a single
+``scandir`` walk that stats every file as it lists it, and reads and
+hashes only those whose ``(size, mtime_ns, ino, ctime_ns)`` key misses
+the workspace's in-memory stat cache. A digest enters the cache only
+when the file's mtime and ctime are strictly older than a reference
+time read from the file system's own clock at the start of the scan;
+this is git's racy-clean rule. A file written in the same timestamp
+tick as its scan could change again without changing its key, so it is
+read again on the next scan.
 """
 
 from __future__ import annotations
@@ -32,6 +38,7 @@ from .errors import (
     ForeignSnapshot,
     IoFailure,
     LocationUnavailable,
+    PathEscape,
     RevisionNotFound,
 )
 
@@ -53,6 +60,7 @@ _NO_NEWLINE_MARKER = "\n\\ No newline at end of file\n"
 # Touched at the start of every scan, in the control dir; its mtime is
 # the scan's reference time on the file system's clock.
 _CLOCK_MARKER = "scan-clock"
+_PACK_FILE = "objects.pack"
 
 _StatKey = tuple[int, int, int, int]
 
@@ -71,12 +79,10 @@ class Workspace:
     _stat_cache: dict[str, tuple[_StatKey, str]] = field(
         default_factory=dict, repr=False, compare=False
     )
-    # Digests whose bytes are in the object store.
-    _parked: set[str] = field(default_factory=set, repr=False, compare=False)
-
-    @property
-    def objects_dir(self) -> Path:
-        return self.control_dir / "objects"
+    # digest -> (offset, length) of its bytes in the pack.
+    _parked: dict[str, tuple[int, int]] = field(
+        default_factory=dict, repr=False, compare=False
+    )
 
 
 @dataclass(frozen=True)
@@ -157,27 +163,80 @@ def open_workspace(
     return Workspace(instance_id=instance_id, root=repo_dir, control_dir=control_dir)
 
 
+def _walk(ws: Workspace) -> list[tuple[str, _StatKey]]:
+    """``(relative POSIX path, stat key)`` of every file a snapshot
+    covers, sorted by path.
+
+    Lists the same paths as ``os.walk``: symlinked directories are
+    neither entered nor listed as files, a symlinked file is stat'ed
+    through its link, and a directory that cannot be listed is skipped.
+    Stats go through ``os.stat`` by path, never ``DirEntry.stat``. Only
+    the key is kept: a whole ``stat_result`` per file is three times
+    its size.
+    """
+    suffixes = tuple(ws.ignored_suffixes)
+    found: list[tuple[str, _StatKey]] = []
+    pending = [(str(ws.root), "")]
+    while pending:
+        directory, prefix = pending.pop()
+        try:
+            with os.scandir(directory) as listing:
+                entries = list(listing)
+        except OSError:
+            continue
+        for entry in entries:
+            try:
+                is_dir = entry.is_dir()
+            except OSError:
+                is_dir = False
+            if is_dir:
+                if entry.name not in ws.ignored_dirs and not entry.is_symlink():
+                    pending.append((entry.path, f"{prefix}{entry.name}/"))
+            elif not entry.name.endswith(suffixes):
+                try:
+                    st = os.stat(entry.path)
+                except OSError as exc:
+                    raise IoFailure(f"cannot stat {entry.path}: {exc}") from exc
+                found.append((
+                    prefix + entry.name,
+                    (st.st_size, st.st_mtime_ns, st.st_ino, st.st_ctime_ns),
+                ))
+    found.sort(key=lambda pair: pair[0])
+    return found
+
+
 def tracked_files(ws: Workspace) -> list[str]:
     """Relative POSIX paths of every file a snapshot covers, sorted.
 
     Covers tracked files and anything created since checkout, minus the
     ignore lists and the reserved test directory.
     """
-    found: list[str] = []
-    for dirpath, dirnames, filenames in os.walk(ws.root):
-        dirnames[:] = sorted(d for d in dirnames if d not in ws.ignored_dirs)
-        rel_dir = Path(dirpath).relative_to(ws.root)
-        for name in sorted(filenames):
-            if any(name.endswith(suffix) for suffix in ws.ignored_suffixes):
-                continue
-            found.append((rel_dir / name).as_posix())
-    return sorted(found)
+    return [rel for rel, _ in _walk(ws)]
 
 
-def _read_bytes(path: str | Path) -> bytes:
+def confined_path(ws: Workspace, rel: str) -> Path:
+    """Where ``rel`` leads inside the clone, with every symlink resolved.
+
+    Raises ``PathEscape`` for an absolute path, and for one that leads
+    out of ``ws.root`` through ``..`` or a symlink, so nothing outside
+    the clone is read or written through an agent-supplied path.
+    """
+    root = os.path.realpath(ws.root)
+    full = os.path.realpath(os.path.join(root, rel))
+    if os.path.isabs(rel) or os.path.commonpath([root, full]) != root:
+        raise PathEscape(f"{rel!r} leads outside the workspace")
+    return Path(full)
+
+
+def _read_bytes(path: str | Path, span: tuple[int, int] | None = None) -> bytes:
+    """The whole file, or ``length`` bytes from ``offset`` for a ``span``."""
     try:
         with open(path, "rb") as handle:
-            return handle.read()
+            if span is None:
+                return handle.read()
+            offset, length = span
+            handle.seek(offset)
+            return handle.read(length)
     except OSError as exc:
         raise IoFailure(f"cannot read {path}: {exc}") from exc
 
@@ -196,48 +255,48 @@ def _scan(ws: Workspace, park: bool) -> dict[str, str]:
     """Digest of every file a snapshot covers, keyed by relative path.
 
     Reads only the files whose stat key misses the cache. With ``park``
-    every digest's bytes also end up in the object store, so a file
-    whose digest only a diff has seen is read once more and parked.
+    every digest's bytes also end up in the pack, so a file whose digest
+    only a diff has seen is read once more and parked.
     """
     reference = _fs_clock(ws)
     root = str(ws.root)
     cache: dict[str, tuple[_StatKey, str]] = {}
     digests: dict[str, str] = {}
-    for rel in tracked_files(ws):
-        path = os.path.join(root, rel)
-        try:
-            st = os.stat(path)
-        except OSError as exc:
-            raise IoFailure(f"cannot stat {path}: {exc}") from exc
-        key = (st.st_size, st.st_mtime_ns, st.st_ino, st.st_ctime_ns)
-        hit = ws._stat_cache.get(rel)
-        if hit is not None and hit[0] == key and (not park or hit[1] in ws._parked):
-            cache[rel] = hit
-            digests[rel] = hit[1]
-            continue
-        data = _read_bytes(path)
-        digest = hashlib.sha256(data).hexdigest()
-        if park and digest not in ws._parked:
-            blob = ws.objects_dir / digest
-            if not blob.exists():
+    appended: dict[str, tuple[int, int]] = {}
+    pack = None
+    try:
+        for rel, key in _walk(ws):
+            hit = ws._stat_cache.get(rel)
+            if hit is not None and hit[0] == key and (not park or hit[1] in ws._parked):
+                cache[rel] = hit
+                digests[rel] = hit[1]
+                continue
+            data = _read_bytes(os.path.join(root, rel))
+            digest = hashlib.sha256(data).hexdigest()
+            if park and digest not in ws._parked and digest not in appended:
                 try:
-                    blob.write_bytes(data)
+                    if pack is None:
+                        pack = open(ws.control_dir / _PACK_FILE, "ab")
+                    appended[digest] = (pack.tell(), len(data))
+                    pack.write(data)
                 except OSError as exc:
                     raise IoFailure(f"cannot store blob for {rel}: {exc}") from exc
-            ws._parked.add(digest)
-        digests[rel] = digest
-        if st.st_mtime_ns < reference and st.st_ctime_ns < reference:
-            cache[rel] = (key, digest)
+            digests[rel] = digest
+            if key[1] < reference and key[3] < reference:  # mtime, ctime
+                cache[rel] = (key, digest)
+    finally:
+        if pack is not None:
+            try:
+                pack.close()
+            except OSError as exc:
+                raise IoFailure(f"cannot flush {pack.name}: {exc}") from exc
+    ws._parked.update(appended)
     ws._stat_cache = cache
     return digests
 
 
 def take_snapshot(ws: Workspace, stage_label: str = "") -> Snapshot:
     """Record the current tree and park its bytes for later restore."""
-    try:
-        ws.objects_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise IoFailure(f"cannot create object store: {exc}") from exc
     digest_map = _scan(ws, park=True)
     ws._snapshot_serial += 1
     return Snapshot(
@@ -249,7 +308,14 @@ def take_snapshot(ws: Workspace, stage_label: str = "") -> Snapshot:
 
 
 def _blob_bytes(ws: Workspace, digest: str) -> bytes:
-    return _read_bytes(ws.objects_dir / digest)
+    """The parked bytes of ``digest``, checked against the digest."""
+    span = ws._parked.get(digest)
+    if span is None:
+        raise IoFailure(f"no parked blob for {digest}")
+    data = _read_bytes(ws.control_dir / _PACK_FILE, span)
+    if hashlib.sha256(data).hexdigest() != digest:
+        raise IoFailure(f"parked blob for {digest} is corrupt")
+    return data
 
 
 def _check_owner(ws: Workspace, snap: Snapshot) -> None:
@@ -262,8 +328,10 @@ def _check_owner(ws: Workspace, snap: Snapshot) -> None:
 def restore_snapshot(ws: Workspace, snap: Snapshot) -> None:
     """Return the tree to ``snap``, byte for byte.
 
-    Files missing from the snapshot are deleted; changed or deleted
-    files are rewritten from the object store.
+    Files missing from the snapshot are deleted, and so are directories
+    that this leaves empty, up to the tree root; a directory a snapshot
+    file lives in is made again when that file is written. Changed or
+    deleted files are rewritten from the pack.
     """
     _check_owner(ws, snap)
     current = _scan(ws, park=False)
@@ -272,6 +340,7 @@ def restore_snapshot(ws: Workspace, snap: Snapshot) -> None:
             if rel not in snap.digest_map:
                 (ws.root / rel).unlink()
                 ws._stat_cache.pop(rel, None)
+                _prune_empty_parents(ws, rel)
         for rel, digest in snap.digest_map.items():
             if current.get(rel) == digest:
                 continue
@@ -281,6 +350,16 @@ def restore_snapshot(ws: Workspace, snap: Snapshot) -> None:
             ws._stat_cache.pop(rel, None)
     except OSError as exc:
         raise IoFailure(f"restore of {snap.snapshot_id} failed: {exc}") from exc
+
+
+def _prune_empty_parents(ws: Workspace, rel: str) -> None:
+    parent = (ws.root / rel).parent
+    while parent != ws.root:
+        try:
+            parent.rmdir()
+        except OSError:
+            return
+        parent = parent.parent
 
 
 def _split_lines(data: bytes) -> list[str]:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
 import calcfix
@@ -28,3 +30,21 @@ def calc_ws(calc_repo, tmp_path):
 @pytest.fixture
 def work_root(tmp_path):
     return tmp_path / "work"
+
+
+@pytest.fixture(params=["dotdot", "absolute", "symlink"])
+def escaping_path(request, calc_ws, tmp_path):
+    """A path that names a file outside ``calc_ws``, and that file.
+
+    The path climbs out with ``..``, is absolute, or is a symlink in the
+    tree that points outside it.
+    """
+    victim = tmp_path / "outside" / "victim.py"
+    victim.parent.mkdir()
+    victim.write_text("def victim():\n    return 1\n")
+    if request.param == "dotdot":
+        return os.path.relpath(victim, calc_ws.root), victim
+    if request.param == "absolute":
+        return str(victim), victim
+    (calc_ws.root / "link.py").symlink_to(victim)
+    return "link.py", victim

@@ -9,6 +9,7 @@ system diff and patch utilities.
 from __future__ import annotations
 
 import ast
+import os
 import shutil
 import subprocess
 from pathlib import Path
@@ -123,6 +124,21 @@ def apply_patch(pristine_dir: Path, patch_text: str, scratch: Path) -> Path:
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     return target
+
+
+def walked_files(
+    root: Path, ignored_dirs: frozenset[str], ignored_suffixes: frozenset[str]
+) -> list[str]:
+    """Files under root as os.walk lists them, minus ignored directory
+    names and file suffixes, as sorted relative posix paths."""
+    found: list[str] = []
+    for dirpath, dirnames, filenames in os.walk(root):
+        dirnames[:] = [d for d in dirnames if d not in ignored_dirs]
+        rel_dir = Path(dirpath).relative_to(root)
+        for name in filenames:
+            if not any(name.endswith(suffix) for suffix in ignored_suffixes):
+                found.append((rel_dir / name).as_posix())
+    return sorted(found)
 
 
 def tree_bytes(root: Path) -> dict[str, bytes]:

@@ -13,7 +13,13 @@ from repeton.codemap import (
     render_outline,
     view_region,
 )
-from repeton.errors import FileNotFound, NotText, RangeOutOfBounds, SymbolNotFound
+from repeton.errors import (
+    FileNotFound,
+    NotText,
+    PathEscape,
+    RangeOutOfBounds,
+    SymbolNotFound,
+)
 
 
 def spans(text: str) -> list[tuple[str, str, int, int]]:
@@ -258,3 +264,11 @@ def test_view_region_range_beyond_file(calc_ws):
         view_region(calc_ws, "calc.py", (8, 99))
     with pytest.raises(RangeOutOfBounds):
         view_region(calc_ws, "calc.py", (0, 3))
+
+
+def test_outline_and_view_stay_in_the_workspace(calc_ws, escaping_path):
+    path, _ = escaping_path
+    with pytest.raises(PathEscape):
+        outline_file(calc_ws, path)
+    with pytest.raises(PathEscape):
+        view_region(calc_ws, path, "victim")

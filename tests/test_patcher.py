@@ -13,6 +13,7 @@ from repeton.errors import (
     FileMismatch,
     FileNotFound,
     ForwardRollback,
+    PathEscape,
     SecondEditInIteration,
     SpanOutOfBounds,
     StageIncomplete,
@@ -265,3 +266,30 @@ def test_rollback_soundness_property(calc_ws):
 def test_edit_minimality_property(calc_ws):
     checked = properties.run_edit_minimality(calc_ws, scenarios=15, seed=2)
     assert checked == 15
+
+
+def test_outline_evidence_must_stay_in_the_workspace(calc_ws, escaping_path):
+    path, _ = escaping_path
+    machine = machine_at(calc_ws, IcsrStage.Outline)
+    with pytest.raises(PathEscape):
+        machine.advance_stage(path)
+    assert machine.state.stage is IcsrStage.Outline
+    assert machine.state.active_file is None
+
+
+def test_switch_target_must_stay_in_the_workspace(calc_ws, escaping_path):
+    path, _ = escaping_path
+    machine = machine_at(calc_ws, IcsrStage.Edit)
+    with pytest.raises(PathEscape):
+        machine.switch_active_file(path)
+    assert machine.state.active_file == "calc.py"
+
+
+def test_edit_never_writes_outside_the_workspace(calc_ws, escaping_path):
+    path, victim = escaping_path
+    original = victim.read_bytes()
+    machine = machine_at(calc_ws, IcsrStage.Edit)
+    machine.state.active_file = path
+    with pytest.raises(PathEscape):
+        machine.apply_region_edit(RegionEdit(path, 1, 1, "HACKED = 1\n"))
+    assert victim.read_bytes() == original

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import errno
 import hashlib
+import io
 import os
 import random
+import subprocess
+import sys
 import time
 
 import pytest
@@ -14,13 +18,16 @@ from repeton import workspace
 from repeton.errors import (
     DirtyTarget,
     ForeignSnapshot,
+    IoFailure,
     LocationUnavailable,
+    PathEscape,
     RevisionNotFound,
 )
 from repeton.workspace import (
     RESERVED_TEST_DIR,
     WORK_DIR_ENV,
     compute_diff,
+    confined_path,
     open_workspace,
     restore_snapshot,
     take_snapshot,
@@ -82,6 +89,53 @@ def test_tracked_files_skips_ignored_entries(calc_ws):
     assert tracked_files(calc_ws) == ["README.md", "calc.py", "util.py"]
 
 
+def test_tracked_files_match_an_os_walk_oracle(calc_ws, tmp_path):
+    root = calc_ws.root
+    (root / "pkg" / "deep" / "deeper").mkdir(parents=True)
+    (root / "pkg" / "deep" / "deeper" / "leaf.py").write_text("LEAF = 1\n")
+    (root / "pkg" / "deep" / "mod.pyc").write_bytes(b"\x00")
+    (root / "pkg" / "__pycache__").mkdir()
+    (root / "pkg" / "__pycache__" / "x.py").write_text("hidden\n")
+    (root / "pkg" / ".git").write_text("gitdir: elsewhere\n")
+    (root / "pkg" / "calc_link.py").symlink_to(root / "calc.py")
+    (root / "pkg" / "deep_link").symlink_to(root / "pkg" / "deep")
+    outside = tmp_path / "outside"
+    outside.mkdir()
+    (outside / "far.py").write_text("FAR = 1\n")
+    (root / "far_link").symlink_to(outside)
+
+    expected = oracles.walked_files(
+        root, calc_ws.ignored_dirs, calc_ws.ignored_suffixes
+    )
+    assert "pkg/calc_link.py" in expected
+    assert "pkg/.git" in expected
+    assert tracked_files(calc_ws) == expected
+    snap = take_snapshot(calc_ws, "base")
+    assert list(snap.digest_map) == expected
+    assert snap.digest_map["pkg/calc_link.py"] == snap.digest_map["calc.py"]
+
+
+def test_broken_symlink_fails_the_scan(calc_ws):
+    (calc_ws.root / "dangling.py").symlink_to(calc_ws.root / "no-such-file.py")
+    with pytest.raises(IoFailure):
+        take_snapshot(calc_ws, "base")
+
+
+def test_confined_path_rejects_escapes(calc_ws, escaping_path):
+    path, _ = escaping_path
+    with pytest.raises(PathEscape):
+        confined_path(calc_ws, path)
+
+
+def test_confined_path_allows_detours_that_stay_inside(calc_ws):
+    (calc_ws.root / "pkg").mkdir()
+    (calc_ws.root / "pkg" / "alias.py").symlink_to(calc_ws.root / "calc.py")
+    inside = calc_ws.root.resolve() / "calc.py"
+    assert confined_path(calc_ws, "calc.py") == inside
+    assert confined_path(calc_ws, "pkg/../calc.py") == inside
+    assert confined_path(calc_ws, "pkg/alias.py") == inside
+
+
 def test_snapshot_restore_round_trip(calc_ws):
     before = oracles.tree_bytes(calc_ws.root)
     snap = take_snapshot(calc_ws, "base")
@@ -94,6 +148,39 @@ def test_snapshot_restore_round_trip(calc_ws):
     restore_snapshot(calc_ws, snap)
     assert oracles.tree_bytes(calc_ws.root) == before
     assert compute_diff(calc_ws, snap).is_empty
+
+
+def test_restore_removes_directories_created_after_the_snapshot(calc_ws):
+    (calc_ws.root / "lib").mkdir()
+    (calc_ws.root / "lib" / "keep.py").write_text("KEEP = 1\n")
+    before = oracles.tree_bytes(calc_ws.root)
+    snap = take_snapshot(calc_ws, "base")
+
+    (calc_ws.root / "pkg" / "sub").mkdir(parents=True)
+    (calc_ws.root / "pkg" / "__init__.py").write_text("")
+    (calc_ws.root / "pkg" / "sub" / "m.py").write_text("M = 1\n")
+    (calc_ws.root / "lib" / "extra").mkdir()
+    (calc_ws.root / "lib" / "extra" / "new.py").write_text("NEW = 1\n")
+
+    restore_snapshot(calc_ws, snap)
+    assert oracles.tree_bytes(calc_ws.root) == before
+    assert not (calc_ws.root / "pkg").exists()
+    assert not (calc_ws.root / "lib" / "extra").exists()
+    imported = subprocess.run(
+        [sys.executable, "-c", "import pkg"], cwd=calc_ws.root, capture_output=True
+    )
+    assert imported.returncode != 0
+
+
+def test_restore_turns_a_directory_back_into_a_file(calc_ws):
+    before = oracles.tree_bytes(calc_ws.root)
+    snap = take_snapshot(calc_ws, "base")
+    (calc_ws.root / "util.py").unlink()
+    (calc_ws.root / "util.py").mkdir()
+    (calc_ws.root / "util.py" / "inner.py").write_text("INNER = 1\n")
+
+    restore_snapshot(calc_ws, snap)
+    assert oracles.tree_bytes(calc_ws.root) == before
 
 
 def test_restore_rejects_foreign_snapshot(calc_repo, tmp_path):
@@ -225,6 +312,80 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def _pack(ws):
+    return ws.control_dir / "objects.pack"
+
+
+def _control_files(ws) -> set:
+    return {
+        path for path in ws.control_dir.rglob("*")
+        if path.is_file() and ws.root not in path.parents
+    }
+
+
+def test_base_snapshot_adds_one_object_file(calc_ws):
+    before = _control_files(calc_ws)
+    base = take_snapshot(calc_ws, "base")
+    added = {_pack(calc_ws), calc_ws.control_dir / workspace._CLOCK_MARKER}
+    assert _control_files(calc_ws) - before == added
+    blobs = {
+        digest: (calc_ws.root / rel).read_bytes()
+        for rel, digest in base.digest_map.items()
+    }
+    packed = sum(len(data) for data in blobs.values())
+    assert _pack(calc_ws).stat().st_size == packed
+
+    (calc_ws.root / "util.py").write_text("NEXT = 2\n")
+    take_snapshot(calc_ws, "next")
+    assert _control_files(calc_ws) - before == added
+    assert _pack(calc_ws).stat().st_size == packed + len("NEXT = 2\n")
+
+
+def test_corrupt_pack_is_refused(calc_ws):
+    snap = take_snapshot(calc_ws, "base")
+    target = calc_ws.root / "util.py"
+    target.write_text("CHANGED = True\n")
+    offset, length = calc_ws._parked[snap.digest_map["util.py"]]
+    packed = bytearray(_pack(calc_ws).read_bytes())
+    packed[offset + length // 2] ^= 0x20
+    _pack(calc_ws).write_bytes(bytes(packed))
+
+    with pytest.raises(IoFailure):
+        compute_diff(calc_ws, snap)
+    with pytest.raises(IoFailure):
+        restore_snapshot(calc_ws, snap)
+    assert target.read_text() == "CHANGED = True\n"
+
+
+class _LostPack(io.BytesIO):
+    """A pack handle whose bytes never reach the disk: close fails."""
+
+    name = "objects.pack"
+
+    def close(self):
+        super().close()
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+def test_blobs_join_the_index_only_once_flushed(calc_ws, monkeypatch):
+    def failing_open(path, mode="r", *args, **kwargs):
+        if mode == "ab":
+            return _LostPack()
+        return open(path, mode, *args, **kwargs)
+
+    monkeypatch.setattr(workspace, "open", failing_open, raising=False)
+    with pytest.raises(IoFailure):
+        take_snapshot(calc_ws, "lost")
+    assert calc_ws._parked == {}
+
+    monkeypatch.undo()
+    frozen = oracles.tree_bytes(calc_ws.root)
+    snap = take_snapshot(calc_ws, "kept")
+    (calc_ws.root / "calc.py").write_text("gone\n")
+    restore_snapshot(calc_ws, snap)
+    assert oracles.tree_bytes(calc_ws.root) == frozen
+
+
 def _let_clock_pass(ws) -> None:
     """Wait until the file system's clock is past every file's mtime and
     ctime, so the next scan may cache all of them."""
@@ -242,13 +403,14 @@ def _let_clock_pass(ws) -> None:
         time.sleep(0.002)
 
 
-def _record_reads(monkeypatch) -> list[str]:
-    reads: list[str] = []
+def _record_reads(monkeypatch) -> list[tuple[str, tuple[int, int] | None]]:
+    """Every read of a tree file or of a pack slice, as (path, span)."""
+    reads: list[tuple[str, tuple[int, int] | None]] = []
     real = workspace._read_bytes
 
-    def counting(path):
-        reads.append(os.fspath(path))
-        return real(path)
+    def counting(path, span=None):
+        reads.append((os.fspath(path), span))
+        return real(path, span)
 
     monkeypatch.setattr(workspace, "_read_bytes", counting)
     return reads
@@ -273,10 +435,12 @@ def test_one_file_change_reads_only_that_file_and_its_blob(calc_ws, monkeypatch)
     diff = compute_diff(calc_ws, snap)
     assert diff.files_touched == 1
     assert "+CHANGED = True" in diff.text
-    assert set(reads) == {
-        str(calc_ws.root / "util.py"),
-        str(calc_ws.objects_dir / snap.digest_map["util.py"]),
+    assert {path for path, span in reads if span is None} == {
+        str(calc_ws.root / "util.py")
     }
+    assert [(path, span) for path, span in reads if span is not None] == [
+        (str(_pack(calc_ws)), calc_ws._parked[snap.digest_map["util.py"]])
+    ]
 
 
 def test_digest_learned_by_diff_is_parked_by_next_snapshot(calc_ws):
@@ -286,11 +450,12 @@ def test_digest_learned_by_diff_is_parked_by_next_snapshot(calc_ws):
     learned = _sha(target.read_bytes())
     _let_clock_pass(calc_ws)
     assert compute_diff(calc_ws, base).files_touched == 1
-    assert not (calc_ws.objects_dir / learned).exists()
+    assert learned not in calc_ws._parked
 
     snap = take_snapshot(calc_ws, "after")
     assert snap.digest_map["util.py"] == learned
-    assert (calc_ws.objects_dir / learned).read_bytes() == b"LEARNED = 1\n"
+    offset, length = calc_ws._parked[learned]
+    assert _pack(calc_ws).read_bytes()[offset:offset + length] == b"LEARNED = 1\n"
 
     frozen = oracles.tree_bytes(calc_ws.root)
     target.unlink()

@@ -16,14 +16,12 @@ import shlex
 import subprocess
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from datetime import datetime, timezone
 from pathlib import Path
 
 from .agentio import Backend
 from .errors import DuplicateId, EmptyBatch, ParseError
-from .orchestrator import IrvConfig, RunOutcome, RunReport, run_irv
+from .orchestrator import IrvConfig, RunOutcome, RunReport, _now, crash_report, run_irv
 from .testkit import scrubbed_env
-from .workspace import DiffDocument
 
 logger = logging.getLogger(__name__)
 
@@ -135,25 +133,13 @@ def _run_one(task: TaskInstance, config: IrvConfig, backend: Backend) -> RunRepo
         report = run_irv(task, config, backend)
     except Exception as exc:  # noqa: BLE001 - keep the batch alive
         logger.exception("task %s escaped the run loop", task.instance_id)
-        report = RunReport(
-            instance_id=task.instance_id,
-            outcome=RunOutcome.Unresolved,
-            final_diff=DiffDocument(text="", files_touched=0, hunk_count=0),
-            iterations_used=0,
-            llm_calls_used=0,
-            duration_s=0.0,
-            event_log=[(_now(), f"harness-error:{type(exc).__name__}")],
-        )
+        report = crash_report(task.instance_id, exc)
     if report.outcome is RunOutcome.Resolved and task.validation_command:
         if not _validation_passes(task, report):
             report.outcome = RunOutcome.Unresolved
             report.event_log.append((_now(), "validation-downgrade"))
             logger.info("[%s] validation command failed; downgraded", task.instance_id)
     return report
-
-
-def _now() -> str:
-    return datetime.now(timezone.utc).isoformat()
 
 
 def run_bench(

@@ -16,9 +16,9 @@ from pathlib import Path
 
 from .agentio import Backend, LiveBackend, RecordingBackend, ReplayBackend
 from .bench import TaskInstance, load_tasks, run_bench, summarize_outcomes
-from .codemap import parse_outline
+from .codemap import decode_text, parse_outline, render_outline
 from .codesearch import make_query, match_files, render_match_tree
-from .errors import EmptyBatch, LocationUnavailable, NotText, ParseError, RepetonError
+from .errors import EmptyBatch, LocationUnavailable, ParseError, RepetonError
 from .orchestrator import IrvConfig, RunOutcome, RunReport, run_irv
 from .workspace import Workspace
 
@@ -46,13 +46,16 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--max-iterations", type=int)
         p.add_argument("--max-llm-calls", type=int)
 
-    run_p = sub.add_parser("run", help="repair one repository")
-    run_p.add_argument("--repo", required=True)
-    run_p.add_argument("--rev", required=True)
-    run_p.add_argument("--problem-file", required=True)
-    run_p.add_argument("--instance-id")
-    add_run_flags(run_p)
-    run_p.set_defaults(func=cmd_run)
+    def add_repair_command(name: str, help_text: str) -> None:
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--repo", required=True)
+        p.add_argument("--rev", required=True)
+        p.add_argument("--problem-file", required=True)
+        p.add_argument("--instance-id")
+        add_run_flags(p)
+        p.set_defaults(func=cmd_run)
+
+    add_repair_command("run", "repair one repository")
 
     bench_p = sub.add_parser("bench", help="run a JSONL task batch")
     bench_p.add_argument("--tasks", required=True)
@@ -69,15 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
     search_p.add_argument("keywords", nargs="+")
     search_p.set_defaults(func=cmd_search)
 
-    record_p = sub.add_parser(
-        "record", help="run live while capturing a replay transcript"
-    )
-    record_p.add_argument("--repo", required=True)
-    record_p.add_argument("--rev", required=True)
-    record_p.add_argument("--problem-file", required=True)
-    record_p.add_argument("--instance-id")
-    add_run_flags(record_p)
-    record_p.set_defaults(func=cmd_record)
+    add_repair_command("record", "run live while capturing a replay transcript")
 
     summarize_p = sub.add_parser("summarize", help="summarize report JSON files")
     summarize_p.add_argument("--reports", required=True,
@@ -117,27 +112,35 @@ def load_config_file(path: str) -> dict:
     return data
 
 
+# Flags that override a config field: flag attribute -> field name.
+_FLAG_FIELDS = {
+    "work_dir": "work_root",
+    "model": "model_id",
+    "max_iterations": "max_irv_iterations",
+    "max_llm_calls": "max_llm_calls",
+}
+
+
 def build_config(args: argparse.Namespace) -> IrvConfig:
-    values: dict = {}
-    if getattr(args, "config", None):
-        values.update(load_config_file(args.config))
-    if getattr(args, "work_dir", None):
-        values["work_root"] = args.work_dir
-    if getattr(args, "model", None):
-        values["model_id"] = args.model
-    if getattr(args, "max_iterations", None) is not None:
-        values["max_irv_iterations"] = args.max_iterations
-    if getattr(args, "max_llm_calls", None) is not None:
-        values["max_llm_calls"] = args.max_llm_calls
+    values = load_config_file(args.config) if getattr(args, "config", None) else {}
+    for flag, name in _FLAG_FIELDS.items():
+        if getattr(args, flag, None) not in (None, ""):
+            values[name] = getattr(args, flag)
     return IrvConfig(**values)
 
 
 def build_backend(args: argparse.Namespace) -> Backend:
+    if args.command == "record":
+        if args.backend == "replay":
+            raise ValueError("record captures live traffic; drop --backend replay")
+        if not args.transcript:
+            raise ValueError("record needs --transcript to write")
+        return RecordingBackend(LiveBackend(base_url=args.base_url), args.transcript)
     if args.backend == "replay":
         if not args.transcript:
             raise ValueError("--backend replay needs --transcript")
         return ReplayBackend(args.transcript)
-    return LiveBackend(base_url=getattr(args, "base_url", None))
+    return LiveBackend(base_url=args.base_url)
 
 
 def _write_outputs(report: RunReport, out_dir: str) -> None:
@@ -172,21 +175,6 @@ def cmd_run(args: argparse.Namespace) -> int:
     return 0 if report.outcome is RunOutcome.Resolved else 1
 
 
-def cmd_record(args: argparse.Namespace) -> int:
-    if args.backend == "replay":
-        raise ValueError("record captures live traffic; drop --backend replay")
-    if not args.transcript:
-        raise ValueError("record needs --transcript to write")
-    task = _task_from_args(args)
-    backend = RecordingBackend(
-        LiveBackend(base_url=getattr(args, "base_url", None)), args.transcript
-    )
-    report = run_irv(task, build_config(args), backend)
-    _write_outputs(report, args.out_dir)
-    print(json.dumps(report.to_json_dict(), indent=2))
-    return 0 if report.outcome is RunOutcome.Resolved else 1
-
-
 def cmd_bench(args: argparse.Namespace) -> int:
     tasks = load_tasks(args.tasks)
     reports, summary = run_bench(
@@ -206,17 +194,10 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 
 def cmd_outline(args: argparse.Namespace) -> int:
-    data = Path(args.file).read_bytes()
-    if b"\x00" in data:
-        raise NotText(f"{args.file} is not a text file")
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise NotText(f"{args.file} is not valid UTF-8") from exc
-    outline = parse_outline(text, path=args.file)
-    for span in outline.symbols:
-        print(f"{span.kind} {span.qualified_name} "
-              f"[{span.start_line}-{span.end_line}]")
+    text = decode_text(Path(args.file).read_bytes(), args.file)
+    rendered = render_outline(parse_outline(text, path=args.file))
+    if rendered:
+        print(rendered)
     return 0
 
 
@@ -264,11 +245,9 @@ def route(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (RepetonError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except Exception as exc:  # noqa: BLE001 - CLI must not panic
-        logger.exception("unexpected failure")
+        if not isinstance(exc, (RepetonError, OSError)):
+            logger.exception("unexpected failure")
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

@@ -202,17 +202,21 @@ def parse_outline(text: str, path: str = "<memory>") -> FileOutline:
     )
 
 
-def _load_text(ws: Workspace, path: str) -> str:
-    full = confined_path(ws, path)
-    if not full.is_file():
-        raise FileNotFound(f"no such file in workspace: {path}")
-    data = full.read_bytes()
+def decode_text(data: bytes, path: str) -> str:
+    """``data`` as UTF-8 text; ``NotText`` for NUL bytes or bad UTF-8."""
     if b"\x00" in data:
         raise NotText(f"{path} is not a text file")
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise NotText(f"{path} is not valid UTF-8: {exc}") from exc
+
+
+def _load_text(ws: Workspace, path: str) -> str:
+    full = confined_path(ws, path)
+    if not full.is_file():
+        raise FileNotFound(f"no such file in workspace: {path}")
+    return decode_text(full.read_bytes(), path)
 
 
 def outline_file(ws: Workspace, path: str) -> FileOutline:

@@ -182,19 +182,10 @@ class RunReport:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> RunReport:
-        text = data["diff"]
         return cls(
             instance_id=data["instance_id"],
             outcome=RunOutcome(data["outcome"]),
-            final_diff=DiffDocument(
-                text=text,
-                files_touched=sum(
-                    1 for line in text.splitlines() if line.startswith("+++ ")
-                ),
-                hunk_count=sum(
-                    1 for line in text.splitlines() if line.startswith("@@ ")
-                ),
-            ),
+            final_diff=DiffDocument(data["diff"]),
             iterations_used=data["iterations"],
             llm_calls_used=data["llm_calls"],
             duration_s=data["duration_s"],
@@ -207,31 +198,15 @@ class RunReport:
 
 
 # ---- internal control-flow signals (never escape run_irv) ----
+# BaseException, so that no ``except Exception`` on their way up, such as
+# the judge wrap in ``classify_result``, can swallow them.
 
-class _LlmBudgetExceeded(Exception):
+class _LlmBudgetExceeded(BaseException):
     pass
 
 
-class _WallClockExceeded(Exception):
+class _WallClockExceeded(BaseException):
     pass
-
-
-class _GuardedSession:
-    """Counts completion calls and enforces call and clock budgets."""
-
-    def __init__(self, inner: Session, max_calls: int, deadline: float) -> None:
-        self._inner = inner
-        self._max_calls = max_calls
-        self._deadline = deadline
-        self.calls = 0
-
-    def complete(self, messages: list[Message], params: BackendParams) -> str:
-        if time.monotonic() > self._deadline:
-            raise _WallClockExceeded()
-        if self.calls >= self._max_calls:
-            raise _LlmBudgetExceeded()
-        self.calls += 1
-        return self._inner.complete(messages, params)
 
 
 def _now() -> str:
@@ -287,7 +262,10 @@ def summarize_problem(
 class _RunContext:
     instance_id: str
     config: IrvConfig
-    session: _GuardedSession
+    # None only for a run that failed before it could start.
+    session: Session | None = None
+    started: float = field(default_factory=time.monotonic)
+    calls: int = 0
     conv: Conversation = field(default_factory=Conversation)
     ws: Workspace | None = None
     base_snapshot: Snapshot | None = None
@@ -307,6 +285,35 @@ class _RunContext:
     def limits(self) -> TestLimits:
         return TestLimits(timeout_s=self.config.test_timeout_s)
 
+    def complete(self, messages: list[Message], params: BackendParams) -> str:
+        """One completion call, within the run's call and clock budgets."""
+        if time.monotonic() > self.started + self.config.wall_clock_budget_s:
+            raise _WallClockExceeded()
+        if self.calls >= self.config.max_llm_calls:
+            raise _LlmBudgetExceeded()
+        self.calls += 1
+        return self.session.complete(messages, params)
+
+    def judge(self, excerpt: str) -> str:
+        """Ask the model whether a failure log shows the bug or a broken
+        test; testkit maps the label. An unreachable judge is noted and
+        gives no label, which leaves the verdict Inconclusive."""
+        patch = compute_diff(self.ws, self.base_snapshot).text
+        prompt = [
+            Message("system", JUDGE_INSTRUCTIONS),
+            Message(
+                "user",
+                f"Log excerpt:\n{excerpt}\n\nCurrent patch:\n{_clip(patch)}",
+            ),
+        ]
+        try:
+            raw = self.complete(prompt, self.config.backend_params())
+        except (JudgeUnavailable, HttpFailure):
+            self.note("judge-unavailable")
+            return ""
+        words = raw.strip().split()
+        return words[0] if words else ""
+
 
 def _react_turn(
     run: _RunContext, vocabulary: tuple[str, ...], charge_machine: bool = False
@@ -319,7 +326,7 @@ def _react_turn(
     params = run.config.backend_params()
     for _ in range(REACT_RETRIES + 1):
         prompt = assemble_prompt(run.conv, run.config.window_k)
-        raw = run.session.complete(prompt, params)
+        raw = run.complete(prompt, params)
         run.conv.append("assistant", raw)
         try:
             return parse_react(raw, vocabulary)
@@ -338,10 +345,15 @@ def _react_turn(
 
 # ---- reproduction ----
 
-def _artifact_from_turn(
-    turn: ReactTurn, signature: str, version: int
-) -> TestArtifact | str:
-    """Build a test artifact from a propose_test action, or explain why not."""
+def _propose_test(
+    run: _RunContext, request: str, version: int
+) -> TestArtifact | str | None:
+    """Ask for one test version: its artifact, the reason it was
+    rejected, or None when no reply held a usable action."""
+    run.conv.append("user", request)
+    turn = _react_turn(run, TESTING_VOCABULARY)
+    if turn is None:
+        return None
     source = turn.args.get("source", "")
     command = turn.args.get("command", "")
     name = turn.args.get("file_name") or f"repro_v{version}.py"
@@ -355,7 +367,7 @@ def _artifact_from_turn(
             file_name=f".repeton_tests/{name}",
             source_text=source,
             invocation=invocation,
-            expected_signature=signature,
+            expected_signature=run.summary.expected_signature,
             version=version,
         )
     except ValueError as exc:
@@ -365,26 +377,25 @@ def _artifact_from_turn(
 def establish_reproduction(run: _RunContext) -> bool:
     """Try up to three test versions; True when one certifies.
 
-    A certified test fails with the expected signature on two
-    consecutive runs of the unpatched tree. On failure ``run.artifact``
-    still holds the last materialized attempt, if any.
+    A certified test shows the bug, by signature or by the judge, on
+    two consecutive runs of the unpatched tree. On failure
+    ``run.artifact`` still holds the last materialized attempt, if any.
     """
-    signature = run.summary.expected_signature
     request = TEST_REQUEST
     for version in range(1, MAX_TEST_VERSIONS + 1):
-        run.conv.append("user", request)
-        turn = _react_turn(run, TESTING_VOCABULARY)
-        if turn is None:
+        built = _propose_test(run, request, version)
+        if built is None:
             request = TEST_REQUEST
             continue
-        built = _artifact_from_turn(turn, signature, version)
         if isinstance(built, str):
             run.note(f"reproduction-attempt-{version}:rejected")
             request = f"{built}\n\n{TEST_REQUEST}"
             continue
         materialize_test(run.ws, built)
         run.artifact = built
-        certified, verdicts = certify_failure(run.ws, built, run.limits)
+        certified, verdicts = certify_failure(
+            run.ws, built, run.limits, judge=run.judge
+        )
         if certified:
             run.note("reproduction-certified")
             run.conv.append(
@@ -403,21 +414,16 @@ def establish_reproduction(run: _RunContext) -> bool:
     return False
 
 
-def _refine_test(run: _RunContext, report: DiagnosticReport | None) -> None:
+def _refine_test(run: _RunContext, report: DiagnosticReport) -> None:
     """One mid-run test repair: propose, re-certify on the base tree."""
-    excerpt = report.log_excerpt if report else ""
-    run.conv.append(
-        "user",
+    request = (
         f"The reproduction test itself is broken (it no longer reports on "
-        f"the bug). Log:\n{_clip(excerpt)}\n\n{TEST_REQUEST}",
+        f"the bug). Log:\n{_clip(report.log_excerpt)}\n\n{TEST_REQUEST}"
     )
-    turn = _react_turn(run, TESTING_VOCABULARY)
-    if turn is None:
+    built = _propose_test(run, request, run.artifact.version + 1)
+    if built is None:
         run.note("refinement-failed")
         return
-    built = _artifact_from_turn(
-        turn, run.summary.expected_signature, run.artifact.version + 1
-    )
     if isinstance(built, str):
         run.note("refinement-rejected")
         run.conv.append("user", built)
@@ -426,7 +432,9 @@ def _refine_test(run: _RunContext, report: DiagnosticReport | None) -> None:
     materialize_test(run.ws, built)
     held = take_snapshot(run.ws, stage_label="pre-recertify")
     restore_snapshot(run.ws, run.base_snapshot)
-    certified, _verdicts = certify_failure(run.ws, built, run.limits)
+    certified, _verdicts = certify_failure(
+        run.ws, built, run.limits, judge=run.judge
+    )
     restore_snapshot(run.ws, held)
     if certified:
         run.artifact = built
@@ -472,6 +480,10 @@ def _parse_rollback_target(name: str) -> IcsrStage:
     raise ValueError(f"unknown stage {name!r}")
 
 
+def _outline_text(ws: Workspace, path: str) -> str:
+    return _clip(render_outline(outline_file(ws, path)) or "(no definitions found)")
+
+
 def _dispatch(run: _RunContext, turn: ReactTurn) -> tuple[str, bool]:
     """Execute one parsed action. Returns (observation, pass_finished)."""
     machine = run.machine
@@ -497,10 +509,9 @@ def _dispatch(run: _RunContext, turn: ReactTurn) -> tuple[str, bool]:
 
         if turn.action == "open_outline":
             path = args.get("path", "")
-            outline = outline_file(ws, path)
+            rendered = _outline_text(ws, path)
             machine.advance_stage(path)
-            rendered = render_outline(outline) or "(no definitions found)"
-            return f"Outline of {path}:\n{_clip(rendered)}", False
+            return f"Outline of {path}:\n{rendered}", False
 
         if turn.action == "view_region":
             if "target" in args:
@@ -515,11 +526,9 @@ def _dispatch(run: _RunContext, turn: ReactTurn) -> tuple[str, bool]:
         if turn.action == "switch_file":
             path = args.get("path", "")
             machine.switch_active_file(path)
-            outline = outline_file(ws, path)
-            rendered = render_outline(outline) or "(no definitions found)"
             return (
                 f"Switched to {path}; pending modifications discarded.\n"
-                f"Outline:\n{_clip(rendered)}",
+                f"Outline:\n{_outline_text(ws, path)}",
                 False,
             )
 
@@ -578,129 +587,78 @@ def _drive_icsr_pass(run: _RunContext) -> None:
             return
 
 
-# ---- validation ----
-
-def _make_judge(run: _RunContext):
-    params = run.config.backend_params()
-
-    def judge(excerpt: str) -> str:
-        patch = compute_diff(run.ws, run.base_snapshot).text
-        prompt = [
-            Message("system", JUDGE_INSTRUCTIONS),
-            Message(
-                "user",
-                f"Log excerpt:\n{excerpt}\n\nCurrent patch:\n{_clip(patch)}",
-            ),
-        ]
-        raw = run.session.complete(prompt, params)
-        words = raw.strip().split()
-        return words[0] if words else ""
-
-    return judge
-
+# ---- validation and the report ----
 
 def _validate_patch(run: _RunContext) -> tuple[TestVerdict, DiagnosticReport | None]:
     result = run_test(run.ws, run.artifact, run.limits)
-    verdict, report = classify_result(result, run.summary.expected_signature)
-    if verdict is TestVerdict.Inconclusive:
-        try:
-            label = _make_judge(run)(report.log_excerpt if report else "")
-        except (JudgeUnavailable, HttpFailure):
-            run.note("judge-unavailable")
-            label = ""
-        if label.lower() in ("bug", "failbugpresent"):
-            verdict = TestVerdict.FailBugPresent
-        elif label.lower() in ("invalid", "failinvalidtest"):
-            verdict = TestVerdict.FailInvalidTest
+    verdict, report = classify_result(
+        result, run.summary.expected_signature, judge=run.judge
+    )
     run.note(f"verdict:{verdict.value}")
     return verdict, report
 
 
-# ---- the loop ----
+def _report(
+    run: _RunContext, passed: bool = False, outcome: RunOutcome | None = None
+) -> RunReport:
+    """The one place a run report is built.
 
-def _finalize(run: _RunContext, passed: bool, started: float) -> RunReport:
+    ``outcome`` fixes the outcome: ``CannotReproduce``, or ``Unresolved``
+    after a harness error whatever the tree holds. Without it, ``passed``
+    and the final diff decide. A failure to diff the tree is a harness
+    error too: it is noted and the run ends Unresolved with no diff.
+    """
+    diff = DiffDocument("")
     if run.ws is not None and run.base_snapshot is not None:
-        diff = compute_diff(run.ws, run.base_snapshot)
-    else:
-        diff = DiffDocument(text="", files_touched=0, hunk_count=0)
+        try:
+            diff = compute_diff(run.ws, run.base_snapshot)
+        except Exception as exc:  # noqa: BLE001 - contract: nothing escapes
+            logger.exception("run %s: final diff failed", run.instance_id)
+            run.note(f"harness-error:{type(exc).__name__}")
+            outcome = RunOutcome.Unresolved
 
-    if (
-        not passed
-        and run.config.keep_first_passing
-        and run.first_candidate is not None
-        and not run.first_candidate.is_empty
-    ):
-        diff = run.first_candidate
-        run.note("kept-first-candidate")
-
-    if passed and not diff.is_empty:
-        outcome = RunOutcome.Resolved
-        run.note("resolved")
-    elif diff.is_empty:
-        outcome = RunOutcome.EmptyPatch
-        run.note("empty-patch")
-    else:
-        outcome = RunOutcome.Unresolved
-        run.note("unresolved:last-patch-accepted")
+    if outcome is None:
+        # Set only under keep_first_passing.
+        if not passed and run.first_candidate is not None:
+            diff = run.first_candidate
+            run.note("kept-first-candidate")
+        if passed and not diff.is_empty:
+            outcome = RunOutcome.Resolved
+            run.note("resolved")
+        elif diff.is_empty:
+            outcome = RunOutcome.EmptyPatch
+            run.note("empty-patch")
+        else:
+            outcome = RunOutcome.Unresolved
+            run.note("unresolved:last-patch-accepted")
 
     return RunReport(
         instance_id=run.instance_id,
         outcome=outcome,
         final_diff=diff,
         iterations_used=run.iterations_used,
-        llm_calls_used=run.session.calls,
-        duration_s=time.monotonic() - started,
+        llm_calls_used=run.calls,
+        duration_s=time.monotonic() - run.started,
         event_log=run.events,
         workspace_root=str(run.ws.root) if run.ws else None,
     )
 
 
-def _crash_report(run: _RunContext, started: float) -> RunReport:
-    """Harness failures always count as Unresolved, whatever the tree holds."""
-    try:
-        diff = (
-            compute_diff(run.ws, run.base_snapshot)
-            if run.ws is not None and run.base_snapshot is not None
-            else DiffDocument(text="", files_touched=0, hunk_count=0)
-        )
-    except Exception:
-        diff = DiffDocument(text="", files_touched=0, hunk_count=0)
-    return RunReport(
-        instance_id=run.instance_id,
-        outcome=RunOutcome.Unresolved,
-        final_diff=diff,
-        iterations_used=run.iterations_used,
-        llm_calls_used=run.session.calls,
-        duration_s=time.monotonic() - started,
-        event_log=run.events,
-        workspace_root=str(run.ws.root) if run.ws else None,
-    )
+def crash_report(instance_id: str, exc: Exception) -> RunReport:
+    """Report for a run that failed before it could start: Unresolved,
+    with no diff and only the error in its event log."""
+    run = _RunContext(instance_id=instance_id, config=IrvConfig())
+    run.note(f"harness-error:{type(exc).__name__}")
+    return _report(run, outcome=RunOutcome.Unresolved)
 
 
-def _cannot_reproduce(run: _RunContext, started: float) -> RunReport:
-    run.note("cannot-reproduce")
-    if run.ws is not None and run.base_snapshot is not None:
-        diff = compute_diff(run.ws, run.base_snapshot)
-    else:
-        diff = DiffDocument(text="", files_touched=0, hunk_count=0)
-    return RunReport(
-        instance_id=run.instance_id,
-        outcome=RunOutcome.CannotReproduce,
-        final_diff=diff,
-        iterations_used=run.iterations_used,
-        llm_calls_used=run.session.calls,
-        duration_s=time.monotonic() - started,
-        event_log=run.events,
-        workspace_root=str(run.ws.root) if run.ws else None,
-    )
-
+# ---- the loop ----
 
 def run_irv(task: "TaskInstance", config: IrvConfig, backend: Backend) -> RunReport:
     """Run the full loop for one task. Never raises."""
-    started = time.monotonic()
-    deadline = started + config.wall_clock_budget_s
-    session = _GuardedSession(backend.session(), config.max_llm_calls, deadline)
-    run = _RunContext(instance_id=task.instance_id, config=config, session=session)
+    run = _RunContext(
+        instance_id=task.instance_id, config=config, session=backend.session()
+    )
 
     try:
         run.ws = open_workspace(
@@ -714,7 +672,7 @@ def run_irv(task: "TaskInstance", config: IrvConfig, backend: Backend) -> RunRep
 
         run.conv.append("system", AGENT_CHARTER, pinned=True)
         run.summary = summarize_problem(
-            task.problem_statement, session, config.backend_params()
+            task.problem_statement, run, config.backend_params()
         )
         if run.summary.degraded:
             run.note("summary-degraded")
@@ -730,7 +688,8 @@ def run_irv(task: "TaskInstance", config: IrvConfig, backend: Backend) -> RunRep
         run.verified = establish_reproduction(run)
         if not run.verified:
             if config.strict_reproduction:
-                return _cannot_reproduce(run, started)
+                run.note("cannot-reproduce")
+                return _report(run, outcome=RunOutcome.CannotReproduce)
             run.note("unverified-reproduction")
             run.conv.append(
                 "user",
@@ -746,15 +705,13 @@ def run_irv(task: "TaskInstance", config: IrvConfig, backend: Backend) -> RunRep
             run.iterations_used = iteration
             run.note(f"iteration-{iteration}")
             _drive_icsr_pass(run)
-
             if run.artifact is None:
-                verdict, report = TestVerdict.Inconclusive, None
-            else:
-                verdict, report = _validate_patch(run)
+                continue  # no test was ever written: nothing validates
 
+            verdict, report = _validate_patch(run)
             if verdict is TestVerdict.Pass and run.verified:
-                return _finalize(run, passed=True, started=started)
-            if verdict is TestVerdict.FailInvalidTest and run.artifact is not None:
+                return _report(run, passed=True)
+            if verdict is TestVerdict.FailInvalidTest:
                 _refine_test(run, report)
             elif report is not None:
                 run.conv.append(
@@ -764,18 +721,14 @@ def run_irv(task: "TaskInstance", config: IrvConfig, backend: Backend) -> RunRep
                 )
 
         run.note("budget-exhausted:iterations")
-        return _finalize(run, passed=False, started=started)
-
     except _LlmBudgetExceeded:
         run.note("budget-exhausted:llm-calls")
-        return _finalize(run, passed=False, started=started)
     except _WallClockExceeded:
         run.note("budget-exhausted:wall-clock")
-        return _finalize(run, passed=False, started=started)
     except BudgetExhausted:
         run.note("budget-exhausted:stage-attempts")
-        return _finalize(run, passed=False, started=started)
     except Exception as exc:  # noqa: BLE001 - contract: nothing escapes
         logger.exception("run %s crashed", task.instance_id)
         run.note(f"harness-error:{type(exc).__name__}")
-        return _crash_report(run, started)
+        return _report(run, outcome=RunOutcome.Unresolved)
+    return _report(run)

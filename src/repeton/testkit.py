@@ -9,7 +9,9 @@ whole process tree on timeout.
 
 Classification is rule-ordered and deterministic; an optional judge
 callback breaks ties for logs the rules cannot read, and may never
-declare a test passing.
+declare a test passing. ``classify_result`` alone maps the judge's
+labels, and one judge serves both the certification of a reproduction
+test (``certify_failure``) and the validation of each patch.
 """
 
 from __future__ import annotations
@@ -163,12 +165,6 @@ def run_test(
     )
 
 
-def _has_invalid_marker(stderr_tail: str, markers: tuple[str, ...]) -> bool:
-    if RESERVED_TEST_DIR not in stderr_tail:
-        return False
-    return any(marker in stderr_tail for marker in markers)
-
-
 def _excerpt(result: ExecutionResult) -> str:
     combined = f"stdout:\n{result.stdout_tail}\nstderr:\n{result.stderr_tail}"
     return combined[-EXCERPT_CAP_CHARS:]
@@ -192,7 +188,10 @@ def classify_result(
 
     Rule order: clean exit wins, then timeout, then import/collection
     markers, then the expected failure signature, then the judge. The
-    judge may only confirm a bug or condemn the test, never pass it.
+    judge may only confirm a bug or condemn the test, never pass it. A
+    judge that raises surfaces as ``JudgeUnavailable``; exceptions that
+    do not derive from ``Exception``, such as a caller's budget signals,
+    pass through unwrapped.
     """
     if result.exit_code == 0 and not result.timed_out:
         return TestVerdict.Pass, None
@@ -200,7 +199,9 @@ def classify_result(
     if result.timed_out:
         verdict = TestVerdict.FailInvalidTest
         suggestion = "test timed out; make it terminate quickly"
-    elif _has_invalid_marker(result.stderr_tail, markers):
+    elif RESERVED_TEST_DIR in result.stderr_tail and any(
+        marker in result.stderr_tail for marker in markers
+    ):
         verdict = TestVerdict.FailInvalidTest
         suggestion = "test failed during import or collection; fix the test file"
     elif expected_signature and expected_signature in result.stderr_tail:

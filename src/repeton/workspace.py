@@ -28,6 +28,7 @@ import difflib
 import hashlib
 import logging
 import os
+import re
 import subprocess
 import tempfile
 from dataclasses import dataclass, field
@@ -56,6 +57,7 @@ DEFAULT_IGNORED_SUFFIXES = frozenset({".pyc"})
 
 _DIFF_CONTEXT = 3
 _NO_NEWLINE_MARKER = "\n\\ No newline at end of file\n"
+_HUNK_HEADER = re.compile(r"@@ -\d+(?:,(\d+))? \+\d+(?:,(\d+))? @@")
 
 # Touched at the start of every scan, in the control dir; its mtime is
 # the scan's reference time on the file system's clock.
@@ -97,15 +99,21 @@ class Snapshot:
 
 @dataclass(frozen=True)
 class DiffDocument:
-    """Unified diff between two tree states."""
+    """Unified diff between two tree states; its counts come from the text."""
 
     text: str
-    files_touched: int
-    hunk_count: int
 
     @property
     def is_empty(self) -> bool:
         return self.text == ""
+
+    @property
+    def files_touched(self) -> int:
+        return _diff_counts(self.text)[0]
+
+    @property
+    def hunk_count(self) -> int:
+        return _diff_counts(self.text)[1]
 
 
 def _run_git(args: list[str], cwd: Path | None = None) -> subprocess.CompletedProcess:
@@ -167,12 +175,14 @@ def _walk(ws: Workspace) -> list[tuple[str, _StatKey]]:
     """``(relative POSIX path, stat key)`` of every file a snapshot
     covers, sorted by path.
 
-    Lists the same paths as ``os.walk``: symlinked directories are
-    neither entered nor listed as files, a symlinked file is stat'ed
-    through its link, and a directory that cannot be listed is skipped.
-    Stats go through ``os.stat`` by path, never ``DirEntry.stat``. Only
-    the key is kept: a whole ``stat_result`` per file is three times
-    its size.
+    Lists the same paths as ``os.walk``, minus file symlinks whose
+    target resolves outside ``ws.root``: those are skipped, so no scan
+    or search reads bytes from outside the clone. Symlinked directories
+    are neither entered nor listed as files, a symlinked file that stays
+    inside is stat'ed through its link, and a directory that cannot be
+    listed is skipped. Only links pay for a ``realpath``. Stats go
+    through ``os.stat`` by path, never ``DirEntry.stat``. Only the key
+    is kept: a whole ``stat_result`` per file is three times its size.
     """
     suffixes = tuple(ws.ignored_suffixes)
     found: list[tuple[str, _StatKey]] = []
@@ -193,6 +203,8 @@ def _walk(ws: Workspace) -> list[tuple[str, _StatKey]]:
                 if entry.name not in ws.ignored_dirs and not entry.is_symlink():
                     pending.append((entry.path, f"{prefix}{entry.name}/"))
             elif not entry.name.endswith(suffixes):
+                if entry.is_symlink() and not _within(ws, os.path.realpath(entry.path)):
+                    continue
                 try:
                     st = os.stat(entry.path)
                 except OSError as exc:
@@ -221,11 +233,16 @@ def confined_path(ws: Workspace, rel: str) -> Path:
     out of ``ws.root`` through ``..`` or a symlink, so nothing outside
     the clone is read or written through an agent-supplied path.
     """
-    root = os.path.realpath(ws.root)
-    full = os.path.realpath(os.path.join(root, rel))
-    if os.path.isabs(rel) or os.path.commonpath([root, full]) != root:
+    full = os.path.realpath(os.path.join(ws.root, rel))
+    if os.path.isabs(rel) or not _within(ws, full):
         raise PathEscape(f"{rel!r} leads outside the workspace")
     return Path(full)
+
+
+def _within(ws: Workspace, real: str) -> bool:
+    """Whether the resolved path ``real`` lies inside the clone."""
+    root = os.path.realpath(ws.root)
+    return os.path.commonpath([root, real]) == root
 
 
 def _read_bytes(path: str | Path, span: tuple[int, int] | None = None) -> bytes:
@@ -362,6 +379,31 @@ def _prune_empty_parents(ws: Workspace, rel: str) -> None:
         parent = parent.parent
 
 
+def _diff_counts(text: str) -> tuple[int, int]:
+    """``(files, hunks)`` of a unified diff.
+
+    Each hunk body is skipped by the line counts in its ``@@ -a,b +c,d
+    @@`` header, where a missing count means 1, so a removed ``-- x`` or
+    an added ``++ x``, which render as ``--- x`` and ``+++ x``, is never
+    taken for a file header.
+    """
+    files = hunks = 0
+    old = new = 0
+    for line in text.splitlines():
+        if old > 0 or new > 0:
+            tag = line[:1]
+            if tag in (" ", "-"):
+                old -= 1
+            if tag in (" ", "+"):
+                new -= 1
+        elif line.startswith("--- "):
+            files += 1
+        elif header := _HUNK_HEADER.match(line):
+            hunks += 1
+            old, new = (int(n) if n is not None else 1 for n in header.groups())
+    return files, hunks
+
+
 def _split_lines(data: bytes) -> list[str]:
     return data.decode("utf-8", errors="surrogateescape").splitlines(keepends=True)
 
@@ -396,11 +438,7 @@ def file_diff(rel: str, old: bytes | None, new: bytes | None) -> DiffDocument:
             n=_DIFF_CONTEXT,
         )
     )
-    return DiffDocument(
-        text="".join(_mark_missing_newlines(lines)),
-        files_touched=1 if lines else 0,
-        hunk_count=sum(1 for line in lines if line.startswith("@@ ")),
-    )
+    return DiffDocument("".join(_mark_missing_newlines(lines)))
 
 
 def compute_diff(ws: Workspace, snap: Snapshot) -> DiffDocument:
@@ -413,23 +451,12 @@ def compute_diff(ws: Workspace, snap: Snapshot) -> DiffDocument:
     _check_owner(ws, snap)
     current = _scan(ws, park=False)
     old = snap.digest_map
-    pieces: list[str] = []
-    files_touched = 0
-    hunk_count = 0
-    for rel in sorted(current.keys() | old.keys()):
-        if old.get(rel) == current.get(rel):
-            continue
-        one = file_diff(
+    return DiffDocument("".join(
+        file_diff(
             rel,
             _blob_bytes(ws, old[rel]) if rel in old else None,
             _read_bytes(ws.root / rel) if rel in current else None,
-        )
-        pieces.append(one.text)
-        files_touched += one.files_touched
-        hunk_count += one.hunk_count
-
-    return DiffDocument(
-        text="".join(pieces),
-        files_touched=files_touched,
-        hunk_count=hunk_count,
-    )
+        ).text
+        for rel in sorted(current.keys() | old.keys())
+        if old.get(rel) != current.get(rel)
+    ))

@@ -64,7 +64,7 @@ def blank_report(instance_id: str, outcome: RunOutcome) -> RunReport:
     return RunReport(
         instance_id=instance_id,
         outcome=outcome,
-        final_diff=DiffDocument(text="", files_touched=0, hunk_count=0),
+        final_diff=DiffDocument(text=""),
         iterations_used=0,
         llm_calls_used=0,
         duration_s=0.0,

@@ -178,6 +178,47 @@ def test_run_resolves_from_a_recorded_transcript(tmp_path, calc_repo, capsys):
     assert printed["outcome"] == "Resolved"
 
 
+def test_record_writes_a_transcript_that_replays(
+    tmp_path, calc_repo, capsys, monkeypatch
+):
+    monkeypatch.setattr(
+        cli,
+        "LiveBackend",
+        lambda base_url=None: calcfix.ScriptedBackend(calcfix.resolved_script()),
+    )
+    transcript = tmp_path / "recorded.jsonl"
+    problem = str(write_problem(tmp_path))
+
+    def argv(command: str, side: str, *extra: str) -> list[str]:
+        return [
+            command,
+            "--repo", str(calc_repo),
+            "--rev", "HEAD",
+            "--problem-file", problem,
+            "--instance-id", "calc",
+            "--transcript", str(transcript),
+            "--work-dir", str(tmp_path / f"{side}-work"),
+            "--out-dir", str(tmp_path / f"{side}-out"),
+            *extra,
+        ]
+
+    assert cli.route(argv("record", "rec")) == 0
+    assert cli.route(argv("run", "rep", "--backend", "replay")) == 0
+    capsys.readouterr()
+
+    recorded, replayed = (
+        json.loads((tmp_path / f"{side}-out" / "calc.json").read_text())
+        for side in ("rec", "rep")
+    )
+    golden = (FIXTURES / "calc_golden.patch").read_text()
+    for side in ("rec", "rep"):
+        assert (tmp_path / f"{side}-out" / "calc.patch").read_text() == golden
+    assert recorded["outcome"] == replayed["outcome"] == "Resolved"
+    assert [name for _, name in recorded["events"]] == [
+        name for _, name in replayed["events"]
+    ]
+
+
 def test_run_exits_one_on_non_resolved_outcomes(tmp_path, calc_repo, capsys):
     argv = run_args(
         tmp_path, calc_repo, "empty_patch.jsonl",
@@ -275,6 +316,13 @@ def test_outline_prints_symbol_spans(tmp_path, capsys):
         "method A.f [2-3]\n"
         "function g [6-7]\n"
     )
+
+
+def test_outline_prints_nothing_for_a_file_without_symbols(tmp_path, capsys):
+    src = tmp_path / "flat.py"
+    src.write_text("VALUE = 1\n")
+    assert cli.route(["outline", str(src)]) == 0
+    assert capsys.readouterr().out == ""
 
 
 def test_outline_refuses_binary_files(tmp_path, capsys):

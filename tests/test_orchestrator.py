@@ -21,9 +21,10 @@ from calcfix import (
     make_task,
     run_scenario,
 )
+from repeton import orchestrator
 from repeton.agentio import Message
-from repeton.errors import HttpFailure
-from repeton.workspace import DiffDocument
+from repeton.errors import HttpFailure, IoFailure
+from repeton.workspace import DiffDocument, compute_diff, take_snapshot
 from repeton.orchestrator import (
     SUMMARIZER_INSTRUCTIONS,
     SUMMARY_CHAR_CAP,
@@ -274,24 +275,88 @@ def test_stage_attempt_budget_halts_the_run(calc_repo, work_root):
     assert report.event_names.count("rollback:Keywords") == 2
 
 
+def test_diff_failure_after_a_budget_stop_folds_into_unresolved(
+    calc_repo, work_root, monkeypatch
+):
+    def broken_diff(ws, snap):
+        raise IoFailure("scripted diff failure")
+
+    monkeypatch.setattr(orchestrator, "compute_diff", broken_diff)
+    report = run_custom(
+        calc_repo, work_root, calcfix.resolved_script(), max_llm_calls=2
+    )
+    assert report.outcome is RunOutcome.Unresolved
+    assert report.final_diff.text == ""
+    assert report.event_names[-2:] == [
+        "budget-exhausted:llm-calls", "harness-error:IoFailure",
+    ]
+
+
+# ---- the judge ----
+
+UNSIGNED_SUMMARY = (
+    "SUMMARY: add() returns one more than the true sum of its arguments."
+)
+
+
+def test_unsigned_summary_certifies_through_the_judge(calc_repo, work_root):
+    script = calcfix.resolved_script()
+    script[0] = UNSIGNED_SUMMARY
+    script[2:2] = ["BUG", "BUG"]  # one label per certification run
+    report = run_custom(calc_repo, work_root, script)
+    assert report.outcome is RunOutcome.Resolved
+    assert "reproduction-certified" in report.event_names
+    assert report.llm_calls_used == GOLDEN_CALLS["resolved"] + 2
+    golden = (FIXTURES / "calc_golden.patch").read_text()
+    assert report.final_diff.text == golden
+
+
+def test_judge_can_refuse_certification(calc_repo, work_root):
+    script = [UNSIGNED_SUMMARY]
+    for version in (1, 2, 3):
+        script += [
+            calcfix._propose_test(f"test_v{version}.py", TEST_SOURCE),
+            "INVALID",
+        ]
+    report = run_custom(calc_repo, work_root, script)
+    assert report.outcome is RunOutcome.CannotReproduce
+    assert report.event_names == GOLDEN_EVENTS["cannot_reproduce"]
+
+
 # ---- validation verdicts ----
 
-def test_inconclusive_failure_asks_the_judge(calc_repo, work_root):
-    script = [
+def judged_edit_script() -> list[str]:
+    """A certified test, then an edit whose failure no rule can read."""
+    return [
         SUMMARY_REPLY,
         calcfix._propose_test("test_add.py", TEST_SOURCE),
         *calcfix._search_steps(),
         action("use a helper that does not exist", "edit_region",
                start="5", end="5", replacement="    return a + b + missing_nm"),
         action("done", "done"),
-        "BUG",
     ]
+
+
+def test_inconclusive_failure_asks_the_judge(calc_repo, work_root):
+    script = [*judged_edit_script(), "BUG"]
     report = run_custom(
         calc_repo, work_root, script, max_irv_iterations=1
     )
     assert report.outcome is RunOutcome.Unresolved
     assert "verdict:FailBugPresent" in report.event_names
     assert report.llm_calls_used == 9
+
+
+def test_judge_call_past_the_call_budget_ends_the_run(calc_repo, work_root):
+    script = [*judged_edit_script(), "BUG"]
+    report = run_custom(
+        calc_repo, work_root, script, max_irv_iterations=1, max_llm_calls=8
+    )
+    assert report.outcome is RunOutcome.Unresolved
+    assert report.event_names[-2:] == [
+        "budget-exhausted:llm-calls", "unresolved:last-patch-accepted",
+    ]
+    assert report.llm_calls_used == 8
 
 
 class SentinelSession(ScriptedSession):
@@ -308,15 +373,7 @@ class SentinelBackend(ScriptedBackend):
 
 
 def test_unreachable_judge_keeps_verdict_inconclusive(calc_repo, work_root):
-    script = [
-        SUMMARY_REPLY,
-        calcfix._propose_test("test_add.py", TEST_SOURCE),
-        *calcfix._search_steps(),
-        action("use a helper that does not exist", "edit_region",
-               start="5", end="5", replacement="    return a + b + missing_nm"),
-        action("done", "done"),
-        "RAISE:HttpFailure",
-    ]
+    script = [*judged_edit_script(), "RAISE:HttpFailure"]
     config = replace(
         IrvConfig(work_root=str(work_root)), max_irv_iterations=1
     )
@@ -428,11 +485,33 @@ def test_report_round_trips_through_json(calc_repo, work_root):
     assert clone.event_log == report.event_log
 
 
+def test_diff_counts_survive_a_json_round_trip(calc_ws):
+    # The removed and added lines render as "--- a" and "+++ b", which
+    # look like file headers to a plain prefix count.
+    (calc_ws.root / "notes.txt").write_text("-- a\n")
+    base = take_snapshot(calc_ws, "base")
+    (calc_ws.root / "notes.txt").write_text("++ b\n")
+    live = compute_diff(calc_ws, base)
+    assert "\n--- a\n+++ b\n" in live.text
+    report = RunReport(
+        instance_id="x",
+        outcome=RunOutcome.Unresolved,
+        final_diff=live,
+        iterations_used=1,
+        llm_calls_used=1,
+        duration_s=0.0,
+        event_log=[],
+    )
+    clone = RunReport.from_json_dict(report.to_json_dict())
+    for diff in (live, clone.final_diff):
+        assert (diff.files_touched, diff.hunk_count) == (1, 1)
+
+
 def test_event_names_strips_timestamps():
     report = RunReport(
         instance_id="x",
         outcome=RunOutcome.EmptyPatch,
-        final_diff=DiffDocument(text="", files_touched=0, hunk_count=0),
+        final_diff=DiffDocument(text=""),
         iterations_used=0,
         llm_calls_used=0,
         duration_s=0.0,

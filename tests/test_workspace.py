@@ -15,6 +15,7 @@ import pytest
 
 import oracles
 from repeton import workspace
+from repeton.codesearch import make_query, match_files
 from repeton.errors import (
     DirtyTarget,
     ForeignSnapshot,
@@ -26,6 +27,7 @@ from repeton.errors import (
 from repeton.workspace import (
     RESERVED_TEST_DIR,
     WORK_DIR_ENV,
+    DiffDocument,
     compute_diff,
     confined_path,
     open_workspace,
@@ -119,6 +121,19 @@ def test_broken_symlink_fails_the_scan(calc_ws):
     (calc_ws.root / "dangling.py").symlink_to(calc_ws.root / "no-such-file.py")
     with pytest.raises(IoFailure):
         take_snapshot(calc_ws, "base")
+
+
+def test_symlink_out_of_the_clone_is_never_read(calc_ws, tmp_path):
+    secret = tmp_path / "secret.txt"
+    secret.write_text("SECRET=1\n")
+    base = take_snapshot(calc_ws, "base")
+    (calc_ws.root / "leak.py").symlink_to(secret)
+
+    assert "leak.py" not in tracked_files(calc_ws)
+    assert "leak.py" not in take_snapshot(calc_ws, "after").digest_map
+    assert compute_diff(calc_ws, base).is_empty
+    matches = match_files(calc_ws, make_query(["secret"]))
+    assert "leak.py" not in [entry.path for entry in matches.entries]
 
 
 def test_confined_path_rejects_escapes(calc_ws, escaping_path):
@@ -268,6 +283,24 @@ def test_diff_reports_creation_and_deletion_headers(calc_ws):
     assert "--- /dev/null\n+++ b/born.py" in diff.text
     assert "--- a/util.py\n+++ /dev/null" in diff.text
     assert diff.files_touched == 2
+
+
+def test_diff_counts_come_from_hunk_headers(calc_ws):
+    # Body lines that render like headers ("--- a", "+++ b", "+++ c"), a
+    # no-newline marker inside a hunk, and headers without a line count.
+    (calc_ws.root / "a.txt").write_text("-- a\n")
+    (calc_ws.root / "b.txt").write_text("x")
+    snap = take_snapshot(calc_ws, "base")
+    (calc_ws.root / "a.txt").write_text("++ b\n")
+    (calc_ws.root / "b.txt").write_text("y\n")
+    (calc_ws.root / "c.txt").write_text("++ c\n")
+
+    diff = compute_diff(calc_ws, snap)
+    assert "@@ -1 +1 @@\n--- a\n+++ b\n" in diff.text
+    assert "-x\n\\ No newline at end of file\n+y\n" in diff.text
+    reloaded = DiffDocument(diff.text)
+    assert (reloaded.files_touched, reloaded.hunk_count) == (3, 3)
+    assert oracles.external_hunk_count(diff.text) == 3
 
 
 def test_diff_ignores_reserved_test_dir(calc_ws):

@@ -1,10 +1,11 @@
 """Conversation state, prompt assembly and chat backends.
 
-The conversation is an append-only message list with named checkpoints
-so the repair loop can rewind its own history in step with workspace
-rollbacks. Prompts are assembled from all pinned messages plus a
-sliding window of recent exchanges; pinned messages survive any amount
-of truncation.
+The conversation is an append-only message list that the repair loop
+can truncate back to an earlier length, so its history rewinds in step
+with workspace rollbacks; the stage machine keeps the length at each
+stage entry. Prompts are assembled from all pinned messages plus a
+sliding window of recent exchanges; pinned messages are kept whatever
+the window size.
 
 Three backends speak the same ``session().complete()`` shape: a live
 HTTP client for OpenAI-compatible chat endpoints, a replay client that
@@ -32,7 +33,6 @@ from .errors import (
     MalformedAction,
     ReplayMismatch,
     UnknownAction,
-    UnknownLabel,
 )
 
 logger = logging.getLogger(__name__)
@@ -77,11 +77,10 @@ def estimate_tokens(content: str) -> int:
 
 
 class Conversation:
-    """Append-only message history with named rollback points."""
+    """Append-only message history that can be cut back to a length."""
 
     def __init__(self) -> None:
         self.messages: list[Message] = []
-        self._checkpoints: dict[str, int] = {}
 
     def __len__(self) -> int:
         return len(self.messages)
@@ -95,27 +94,9 @@ class Conversation:
     def token_estimate(self) -> int:
         return sum(estimate_tokens(m.content) for m in self.messages)
 
-    def checkpoint(self, label: str) -> None:
-        """Record the current message count under ``label``."""
-        if label in self._checkpoints:
-            raise ValueError(f"checkpoint label already used: {label!r}")
-        self._checkpoints[label] = len(self.messages)
-
-    def checkpoint_count(self, label: str) -> int:
-        if label not in self._checkpoints:
-            raise UnknownLabel(f"no checkpoint named {label!r}")
-        return self._checkpoints[label]
-
-    def rollback_to(self, label: str) -> None:
-        """Truncate history to ``label``; later checkpoints are forgotten.
-
-        The label itself survives, so rolling back twice is a no-op.
-        """
-        count = self.checkpoint_count(label)
+    def truncate(self, count: int) -> None:
+        """Drop every message after the first ``count``."""
         del self.messages[count:]
-        labels = list(self._checkpoints)
-        for later in labels[labels.index(label) + 1:]:
-            del self._checkpoints[later]
 
 
 def assemble_prompt(conv: Conversation, window_k: int = DEFAULT_WINDOW_K) -> list[Message]:

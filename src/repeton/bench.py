@@ -4,7 +4,8 @@ Tasks come from a JSONL file, one object per line. Each task runs in
 its own isolated workspace, so any parallelism degree produces the same
 reports in the same (input) order. An optional per-task validation
 command can confirm a Resolved outcome; it can only ever downgrade,
-never upgrade. It runs with the same scrubbed environment as tests.
+never upgrade. It runs through testkit's ``run_command``, as tests do.
+``run_irv`` never raises, so a batch needs no fallback report.
 """
 
 from __future__ import annotations
@@ -13,15 +14,14 @@ import json
 import logging
 import os
 import shlex
-import subprocess
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
 from .agentio import Backend
-from .errors import DuplicateId, EmptyBatch, ParseError
-from .orchestrator import IrvConfig, RunOutcome, RunReport, _now, crash_report, run_irv
-from .testkit import scrubbed_env
+from .errors import DuplicateId, EmptyBatch, ParseError, SpawnFailure
+from .orchestrator import IrvConfig, RunOutcome, RunReport, _now, run_irv
+from .testkit import run_command
 
 logger = logging.getLogger(__name__)
 
@@ -116,24 +116,18 @@ def _validation_passes(task: TaskInstance, report: RunReport) -> bool:
     if not report.workspace_root:
         return False
     try:
-        proc = subprocess.run(
+        result = run_command(
+            report.workspace_root,
             shlex.split(task.validation_command),
-            cwd=report.workspace_root,
-            env=scrubbed_env(),
-            capture_output=True,
-            timeout=task.time_limit_s or VALIDATION_DEFAULT_TIMEOUT_S,
+            task.time_limit_s or VALIDATION_DEFAULT_TIMEOUT_S,
         )
-    except (OSError, subprocess.TimeoutExpired, ValueError):
+    except (OSError, SpawnFailure, ValueError, IndexError):
         return False
-    return proc.returncode == 0
+    return result.exit_code == 0 and not result.timed_out
 
 
 def _run_one(task: TaskInstance, config: IrvConfig, backend: Backend) -> RunReport:
-    try:
-        report = run_irv(task, config, backend)
-    except Exception as exc:  # noqa: BLE001 - keep the batch alive
-        logger.exception("task %s escaped the run loop", task.instance_id)
-        report = crash_report(task.instance_id, exc)
+    report = run_irv(task, config, backend)
     if report.outcome is RunOutcome.Resolved and task.validation_command:
         if not _validation_passes(task, report):
             report.outcome = RunOutcome.Unresolved

@@ -17,8 +17,8 @@ from .workspace import Workspace, tracked_files
 
 logger = logging.getLogger(__name__)
 
-DEFAULT_LIMIT = 20
-DEFAULT_EXTENSIONS = (".py",)
+MATCH_LIMIT = 20
+SEARCHED_EXTENSIONS = (".py",)
 PATH_WEIGHT = 3
 # Files above this size are scored on path hits only.
 CONTENT_SCAN_CAP = 1024 * 1024
@@ -70,24 +70,17 @@ def make_query(tokens: Iterable[str]) -> KeywordQuery:
     return KeywordQuery(keywords=tuple(keywords), normalized=tuple(normalized))
 
 
-def match_files(
-    ws: Workspace,
-    query: KeywordQuery,
-    limit: int = DEFAULT_LIMIT,
-    extensions: tuple[str, ...] = DEFAULT_EXTENSIONS,
-) -> MatchSet:
-    """Score candidate files against the query.
+def match_files(ws: Workspace, query: KeywordQuery) -> MatchSet:
+    """Score the Python files against the query; keep the best
+    ``MATCH_LIMIT``.
 
     score = 3 * path_hits + content_hits, where path_hits counts
     keywords appearing case-insensitively in the relative path and
     content_hits counts keywords appearing anywhere in the file text.
     """
-    if limit < 1:
-        raise ValueError(f"limit must be positive, got {limit}")
-
     scored: list[MatchEntry] = []
     for rel in tracked_files(ws):
-        if not rel.endswith(extensions):
+        if not rel.endswith(SEARCHED_EXTENSIONS):
             continue
         lowered_path = rel.lower()
         path_hits = sum(1 for kw in query.normalized if kw in lowered_path)
@@ -115,9 +108,9 @@ def match_files(
     scored.sort(key=lambda e: (-e.score, e.path))
     return MatchSet(
         query=query,
-        entries=tuple(scored[:limit]),
-        limit=limit,
-        truncated=len(scored) > limit,
+        entries=tuple(scored[:MATCH_LIMIT]),
+        limit=MATCH_LIMIT,
+        truncated=len(scored) > MATCH_LIMIT,
     )
 
 

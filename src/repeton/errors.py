@@ -112,10 +112,6 @@ class UnknownAction(RepetonError):
     """Action name is outside the stage vocabulary."""
 
 
-class UnknownLabel(RepetonError):
-    """Conversation checkpoint label was never recorded."""
-
-
 class HttpFailure(RepetonError):
     """Chat completion endpoint kept failing after retries."""
 

@@ -47,7 +47,6 @@ from .patcher import STAGE_VOCABULARY, IcsrMachine, IcsrStage, RegionEdit
 from .testkit import (
     DiagnosticReport,
     TestArtifact,
-    TestLimits,
     TestVerdict,
     certify_failure,
     classify_result,
@@ -262,7 +261,7 @@ def summarize_problem(
 class _RunContext:
     instance_id: str
     config: IrvConfig
-    # None only for a run that failed before it could start.
+    # None until ``run_irv`` has opened the backend session.
     session: Session | None = None
     started: float = field(default_factory=time.monotonic)
     calls: int = 0
@@ -281,10 +280,6 @@ class _RunContext:
         self.events.append((_now(), name))
         logger.info("[%s] %s", self.instance_id, name)
 
-    @property
-    def limits(self) -> TestLimits:
-        return TestLimits(timeout_s=self.config.test_timeout_s)
-
     def complete(self, messages: list[Message], params: BackendParams) -> str:
         """One completion call, within the run's call and clock budgets."""
         if time.monotonic() > self.started + self.config.wall_clock_budget_s:
@@ -297,8 +292,11 @@ class _RunContext:
     def judge(self, excerpt: str) -> str:
         """Ask the model whether a failure log shows the bug or a broken
         test; testkit maps the label. An unreachable judge is noted and
-        gives no label, which leaves the verdict Inconclusive."""
-        patch = compute_diff(self.ws, self.base_snapshot).text
+        gives no label, which leaves the verdict Inconclusive. Until the
+        repair machine exists the tree is the base tree: no diff to take."""
+        patch = ""
+        if self.machine is not None:
+            patch = compute_diff(self.ws, self.base_snapshot).text
         prompt = [
             Message("system", JUDGE_INSTRUCTIONS),
             Message(
@@ -394,7 +392,7 @@ def establish_reproduction(run: _RunContext) -> bool:
         materialize_test(run.ws, built)
         run.artifact = built
         certified, verdicts = certify_failure(
-            run.ws, built, run.limits, judge=run.judge
+            run.ws, built, run.config.test_timeout_s, judge=run.judge
         )
         if certified:
             run.note("reproduction-certified")
@@ -433,7 +431,7 @@ def _refine_test(run: _RunContext, report: DiagnosticReport) -> None:
     held = take_snapshot(run.ws, stage_label="pre-recertify")
     restore_snapshot(run.ws, run.base_snapshot)
     certified, _verdicts = certify_failure(
-        run.ws, built, run.limits, judge=run.judge
+        run.ws, built, run.config.test_timeout_s, judge=run.judge
     )
     restore_snapshot(run.ws, held)
     if certified:
@@ -569,12 +567,18 @@ _INITIAL_OBSERVATION = (
     "will locate the code responsible for the bug (action: set_keywords, "
     "args: {\"keywords\": \"...\"})."
 )
+# A later pass starts where the last one ended, past Keywords.
+_RESUMED_OBSERVATION = (
+    "Begin another repair pass from the current stage. Roll back to an "
+    "earlier stage to look elsewhere."
+)
 
 
 def _drive_icsr_pass(run: _RunContext) -> None:
     """One pass of the staged machine, ending at the agent's done action."""
     run.machine.begin_iteration()
-    observation = _INITIAL_OBSERVATION
+    at_start = run.machine.state.stage is IcsrStage.Keywords
+    observation = _INITIAL_OBSERVATION if at_start else _RESUMED_OBSERVATION
     while True:
         run.conv.append("user", _stage_message(run, observation))
         turn = _react_turn(run, STAGE_VOCABULARY[run.machine.state.stage],
@@ -590,7 +594,7 @@ def _drive_icsr_pass(run: _RunContext) -> None:
 # ---- validation and the report ----
 
 def _validate_patch(run: _RunContext) -> tuple[TestVerdict, DiagnosticReport | None]:
-    result = run_test(run.ws, run.artifact, run.limits)
+    result = run_test(run.ws, run.artifact, run.config.test_timeout_s)
     verdict, report = classify_result(
         result, run.summary.expected_signature, judge=run.judge
     )
@@ -644,23 +648,14 @@ def _report(
     )
 
 
-def crash_report(instance_id: str, exc: Exception) -> RunReport:
-    """Report for a run that failed before it could start: Unresolved,
-    with no diff and only the error in its event log."""
-    run = _RunContext(instance_id=instance_id, config=IrvConfig())
-    run.note(f"harness-error:{type(exc).__name__}")
-    return _report(run, outcome=RunOutcome.Unresolved)
-
-
 # ---- the loop ----
 
 def run_irv(task: "TaskInstance", config: IrvConfig, backend: Backend) -> RunReport:
     """Run the full loop for one task. Never raises."""
-    run = _RunContext(
-        instance_id=task.instance_id, config=config, session=backend.session()
-    )
+    run = _RunContext(instance_id=task.instance_id, config=config)
 
     try:
+        run.session = backend.session()
         run.ws = open_workspace(
             task.repo_location,
             task.base_revision,

@@ -67,8 +67,10 @@ STAGE_VOCABULARY: dict[IcsrStage, tuple[str, ...]] = {
 
 @dataclass(frozen=True)
 class StageCheckpoint:
+    """The tree and the conversation length at one stage entry."""
+
     snapshot: Snapshot
-    conversation_label: str
+    message_count: int
 
 
 @dataclass(frozen=True)
@@ -92,7 +94,6 @@ class IcsrState:
     stage: IcsrStage = IcsrStage.Keywords
     active_file: str | None = None
     query: KeywordQuery | None = None
-    locus: str | tuple[int, int] | None = None
     attempts: dict[IcsrStage, int] = field(default_factory=dict)
     checkpoints: dict[IcsrStage, StageCheckpoint] = field(default_factory=dict)
     edit_applied: bool = False
@@ -113,26 +114,28 @@ class IcsrMachine:
         self.conv = conv
         self.max_stage_attempts = max_stage_attempts
         self.state = IcsrState()
-        self._label_serial = 0
         self._enter(IcsrStage.Keywords)
 
     # ---- stage bookkeeping ----
 
-    def _enter(self, stage: IcsrStage) -> None:
+    def _charge(self, stage: IcsrStage) -> None:
+        """Spend one attempt of ``stage``, or refuse before anything else
+        happens once its budget is used up."""
         used = self.state.attempts.get(stage, 0)
         if used >= self.max_stage_attempts:
             raise BudgetExhausted(
-                f"stage {stage.name} already entered {used} times "
-                f"(max {self.max_stage_attempts})"
+                f"stage {stage.name} exhausted its {self.max_stage_attempts} attempts"
             )
-        self._label_serial += 1
-        label = f"icsr:{self._label_serial:03d}:{stage.name}"
-        snapshot = take_snapshot(self.ws, stage_label=stage.name)
-        self.conv.checkpoint(label)
         self.state.attempts[stage] = used + 1
-        self.state.checkpoints[stage] = StageCheckpoint(snapshot, label)
+
+    def _enter(self, stage: IcsrStage) -> None:
+        self._charge(stage)
+        snapshot = take_snapshot(self.ws, stage_label=stage.name)
+        self.state.checkpoints[stage] = StageCheckpoint(snapshot, len(self.conv))
         self.state.stage = stage
-        logger.debug("entered stage %s (attempt %d)", stage.name, used + 1)
+        logger.debug(
+            "entered stage %s (attempt %d)", stage.name, self.state.attempts[stage]
+        )
 
     def begin_iteration(self) -> None:
         """Arm the machine for one more edit in a fresh outer iteration."""
@@ -140,13 +143,7 @@ class IcsrMachine:
 
     def note_failed_attempt(self) -> None:
         """Charge a non-stage-transition failure against the current stage."""
-        stage = self.state.stage
-        used = self.state.attempts.get(stage, 0)
-        if used >= self.max_stage_attempts:
-            raise BudgetExhausted(
-                f"stage {stage.name} exhausted its {self.max_stage_attempts} attempts"
-            )
-        self.state.attempts[stage] = used + 1
+        self._charge(self.state.stage)
 
     # ---- transitions ----
 
@@ -184,7 +181,6 @@ class IcsrMachine:
                     "Localize stage needs a symbol name or line range"
                 )
             self._enter(IcsrStage.Edit)
-            self.state.locus = evidence
         return self.state
 
     def rollback_stage(self, target: IcsrStage, justification: str) -> IcsrState:
@@ -194,20 +190,15 @@ class IcsrMachine:
             raise ForwardRollback(
                 f"rollback target {target.name} is not earlier than {state.stage.name}"
             )
-        if state.attempts.get(target, 0) >= self.max_stage_attempts:
-            raise BudgetExhausted(
-                f"stage {target.name} exhausted its {self.max_stage_attempts} attempts"
-            )
+        self._charge(target)
         checkpoint = state.checkpoints[target]
         restore_snapshot(self.ws, checkpoint.snapshot)
-        self.conv.rollback_to(checkpoint.conversation_label)
+        self.conv.truncate(checkpoint.message_count)
         for stage in list(state.checkpoints):
             if stage > target:
                 del state.checkpoints[stage]
         state.stage = target
-        state.attempts[target] = state.attempts.get(target, 0) + 1
         state.edit_applied = False
-        state.locus = None
         if target < IcsrStage.Localize:
             state.active_file = None
         if target is IcsrStage.Keywords:
@@ -236,7 +227,6 @@ class IcsrMachine:
         state.checkpoints.pop(IcsrStage.Edit, None)
         state.stage = IcsrStage.Localize
         state.active_file = new_path
-        state.locus = None
         state.edit_applied = False
         return state
 

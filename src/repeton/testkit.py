@@ -2,10 +2,15 @@
 
 Harness-authored tests live under the reserved ``.repeton_tests/``
 directory inside the workspace, which snapshots and diffs never see, so
-a patch can never smuggle its own test along. Tests run as subprocesses
-in their own session with ``REPETON=1`` exported and only an
-allow-listed part of the harness environment, and are killed as a
-whole process tree on timeout.
+a patch can never smuggle its own test along. ``run_command`` runs
+tests and bench validation commands alike: in their own session, with
+``REPETON=1`` exported and only an allow-listed part of the harness
+environment, and output to unlinked temporary files of which only the
+tail is read back. It waits on the child, not on its output, and kills
+the child's whole process group once the child exits or its time runs
+out, so nothing left in that group outlives the run. A descendant that
+starts its own session escapes that kill; output on disk is bounded
+only by the timeout.
 
 Classification is rule-ordered and deterministic; an optional judge
 callback breaks ties for logs the rules cannot read, and may never
@@ -20,10 +25,12 @@ import logging
 import os
 import signal
 import subprocess
+import tempfile
+import threading
 import time
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
+from typing import BinaryIO, Callable, Sequence
 
 from .errors import IoFailure, JudgeUnavailable, SpawnFailure
 from .workspace import RESERVED_TEST_DIR, Workspace
@@ -41,7 +48,7 @@ CERTIFICATION_RUNS = 2
 
 # A marker only counts when the reserved directory shows up in the same
 # stderr, i.e. the failure originates from the test file itself.
-DEFAULT_INVALID_MARKERS = ("ImportError", "ModuleNotFoundError", "SyntaxError")
+INVALID_MARKERS = ("ImportError", "ModuleNotFoundError", "SyntaxError")
 
 
 class TestVerdict(Enum):
@@ -78,12 +85,6 @@ class TestArtifact:
             raise ValueError("invocation must not be empty")
         if self.version < 1:
             raise ValueError(f"version must be >= 1, got {self.version}")
-
-
-@dataclass(frozen=True)
-class TestLimits:
-    timeout_s: float = DEFAULT_TIMEOUT_S
-    output_cap: int = OUTPUT_CAP_BYTES
 
 
 @dataclass(frozen=True)
@@ -127,42 +128,63 @@ def scrubbed_env() -> dict[str, str]:
     return env
 
 
+def _tail(output: BinaryIO) -> str:
+    size = output.seek(0, os.SEEK_END)
+    output.seek(max(0, size - OUTPUT_CAP_BYTES))
+    return output.read().decode("utf-8", errors="replace")
+
+
+def _kill_group(pgid: int) -> None:
+    try:
+        os.killpg(pgid, signal.SIGKILL)
+    except ProcessLookupError:
+        pass
+
+
+def run_command(
+    cwd: str | os.PathLike, argv: Sequence[str], timeout_s: float
+) -> ExecutionResult:
+    """Run ``argv`` in ``cwd`` with the scrubbed environment; kill its
+    process group once it exits or ``timeout_s`` has passed."""
+    start = time.monotonic()
+    with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
+        try:
+            proc = subprocess.Popen(list(argv), cwd=cwd, env=scrubbed_env(),
+                                    stdout=out, stderr=err, start_new_session=True)
+        except OSError as exc:
+            raise SpawnFailure(f"cannot start {argv[0]!r}: {exc}") from exc
+        # Until ``wait`` reaps it, the child, even once exited, keeps its
+        # pid and so its process group id: no kill can hit a stranger.
+        expired = threading.Event()
+
+        def expire() -> None:
+            expired.set()
+            _kill_group(proc.pid)
+
+        timer = threading.Timer(timeout_s, expire)
+        try:
+            timer.start()
+            os.waitid(os.P_PID, proc.pid, os.WEXITED | os.WNOWAIT)
+        finally:
+            timer.cancel()
+            if timer.is_alive():  # a kill under way must land before the reap
+                timer.join()
+            _kill_group(proc.pid)
+            exit_code = proc.wait()
+        return ExecutionResult(
+            exit_code=exit_code,
+            stdout_tail=_tail(out),
+            stderr_tail=_tail(err),
+            duration_s=time.monotonic() - start,
+            timed_out=expired.is_set(),
+        )
+
+
 def run_test(
-    ws: Workspace, artifact: TestArtifact, limits: TestLimits = TestLimits()
+    ws: Workspace, artifact: TestArtifact, timeout_s: float = DEFAULT_TIMEOUT_S
 ) -> ExecutionResult:
     """Execute the test at the workspace root with bounded output."""
-    start = time.monotonic()
-    try:
-        proc = subprocess.Popen(
-            list(artifact.invocation),
-            cwd=ws.root,
-            env=scrubbed_env(),
-            stdout=subprocess.PIPE,
-            stderr=subprocess.PIPE,
-            start_new_session=True,
-        )
-    except OSError as exc:
-        raise SpawnFailure(f"cannot start {artifact.invocation[0]!r}: {exc}") from exc
-
-    timed_out = False
-    try:
-        stdout, stderr = proc.communicate(timeout=limits.timeout_s)
-    except subprocess.TimeoutExpired:
-        timed_out = True
-        try:
-            os.killpg(os.getpgid(proc.pid), signal.SIGKILL)
-        except ProcessLookupError:
-            pass
-        stdout, stderr = proc.communicate()
-
-    duration = time.monotonic() - start
-    return ExecutionResult(
-        exit_code=proc.returncode,
-        stdout_tail=stdout[-limits.output_cap:].decode("utf-8", errors="replace"),
-        stderr_tail=stderr[-limits.output_cap:].decode("utf-8", errors="replace"),
-        duration_s=duration,
-        timed_out=timed_out,
-    )
+    return run_command(ws.root, artifact.invocation, timeout_s)
 
 
 def _excerpt(result: ExecutionResult) -> str:
@@ -182,7 +204,6 @@ def classify_result(
     result: ExecutionResult,
     expected_signature: str = "",
     judge: Callable[[str], str] | None = None,
-    markers: tuple[str, ...] = DEFAULT_INVALID_MARKERS,
 ) -> tuple[TestVerdict, DiagnosticReport | None]:
     """Apply the verdict rules in order; non-Pass verdicts carry a report.
 
@@ -200,7 +221,7 @@ def classify_result(
         verdict = TestVerdict.FailInvalidTest
         suggestion = "test timed out; make it terminate quickly"
     elif RESERVED_TEST_DIR in result.stderr_tail and any(
-        marker in result.stderr_tail for marker in markers
+        marker in result.stderr_tail for marker in INVALID_MARKERS
     ):
         verdict = TestVerdict.FailInvalidTest
         suggestion = "test failed during import or collection; fix the test file"
@@ -229,15 +250,14 @@ def classify_result(
 def certify_failure(
     ws: Workspace,
     artifact: TestArtifact,
-    limits: TestLimits = TestLimits(),
-    runs: int = CERTIFICATION_RUNS,
+    timeout_s: float = DEFAULT_TIMEOUT_S,
     judge: Callable[[str], str] | None = None,
 ) -> tuple[bool, list[TestVerdict]]:
-    """Run the test ``runs`` times; certified only if every run reproduces
-    the bug. Stops early at the first run that does not."""
+    """Run the test ``CERTIFICATION_RUNS`` times; certified only if every
+    run reproduces the bug. Stops early at the first run that does not."""
     verdicts: list[TestVerdict] = []
-    for _ in range(runs):
-        result = run_test(ws, artifact, limits)
+    for _ in range(CERTIFICATION_RUNS):
+        result = run_test(ws, artifact, timeout_s)
         verdict, _report = classify_result(
             result, artifact.expected_signature, judge=judge
         )

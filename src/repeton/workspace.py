@@ -52,8 +52,8 @@ RESERVED_TEST_DIR = ".repeton_tests"
 
 WORK_DIR_ENV = "REPETON_WORK_DIR"
 
-DEFAULT_IGNORED_DIRS = frozenset({"__pycache__", ".git", RESERVED_TEST_DIR})
-DEFAULT_IGNORED_SUFFIXES = frozenset({".pyc"})
+IGNORED_DIRS = frozenset({"__pycache__", ".git", RESERVED_TEST_DIR})
+IGNORED_SUFFIXES = (".pyc",)
 
 _DIFF_CONTEXT = 3
 _NO_NEWLINE_MARKER = "\n\\ No newline at end of file\n"
@@ -74,8 +74,6 @@ class Workspace:
     instance_id: str
     root: Path
     control_dir: Path
-    ignored_dirs: frozenset[str] = DEFAULT_IGNORED_DIRS
-    ignored_suffixes: frozenset[str] = DEFAULT_IGNORED_SUFFIXES
     _snapshot_serial: int = field(default=0, repr=False)
     # path -> (stat key, digest) for files settled before the last scan.
     _stat_cache: dict[str, tuple[_StatKey, str]] = field(
@@ -184,7 +182,6 @@ def _walk(ws: Workspace) -> list[tuple[str, _StatKey]]:
     through ``os.stat`` by path, never ``DirEntry.stat``. Only the key
     is kept: a whole ``stat_result`` per file is three times its size.
     """
-    suffixes = tuple(ws.ignored_suffixes)
     found: list[tuple[str, _StatKey]] = []
     pending = [(str(ws.root), "")]
     while pending:
@@ -200,9 +197,9 @@ def _walk(ws: Workspace) -> list[tuple[str, _StatKey]]:
             except OSError:
                 is_dir = False
             if is_dir:
-                if entry.name not in ws.ignored_dirs and not entry.is_symlink():
+                if entry.name not in IGNORED_DIRS and not entry.is_symlink():
                     pending.append((entry.path, f"{prefix}{entry.name}/"))
-            elif not entry.name.endswith(suffixes):
+            elif not entry.name.endswith(IGNORED_SUFFIXES):
                 if entry.is_symlink() and not _within(ws, os.path.realpath(entry.path)):
                     continue
                 try:

@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import os
+import time
+from pathlib import Path
 
 import pytest
 
 import calcfix
+from repeton.errors import HttpFailure
 from repeton.workspace import open_workspace
 
 
@@ -48,3 +51,38 @@ def escaping_path(request, calc_ws, tmp_path):
         return str(victim), victim
     (calc_ws.root / "link.py").symlink_to(victim)
     return "link.py", victim
+
+
+class UnreachableBackend:
+    """A backend whose endpoint cannot even open a session."""
+
+    def session(self):
+        raise HttpFailure("scripted: endpoint unreachable")
+
+
+@pytest.fixture
+def unreachable_backend():
+    return UnreachableBackend()
+
+
+def _running(pid: int) -> bool:
+    """Whether ``pid`` still runs; a zombie awaiting its reaper does not."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+@pytest.fixture
+def gone():
+    """``gone(pid)``: whether ``pid`` stops running within two seconds,
+    the time a SIGKILL already sent needs to take effect."""
+    def check(pid: int) -> bool:
+        deadline = time.monotonic() + 2.0
+        while _running(pid):
+            if time.monotonic() > deadline:
+                return False
+            time.sleep(0.02)
+        return True
+    return check

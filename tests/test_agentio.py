@@ -28,7 +28,6 @@ from repeton.errors import (
     MalformedAction,
     ReplayMismatch,
     UnknownAction,
-    UnknownLabel,
 )
 
 PARAMS = BackendParams(model_id="test-model", temperature=0.0, max_tokens=64)
@@ -55,41 +54,26 @@ def test_conversation_append_and_token_estimate():
     assert conv.token_estimate == 3
 
 
-def test_checkpoint_labels_must_be_unique():
+def test_truncate_keeps_the_first_messages():
     conv = Conversation()
-    conv.append("user", "hi")
-    conv.checkpoint("here")
-    with pytest.raises(ValueError):
-        conv.checkpoint("here")
-
-
-def test_checkpoint_count_unknown_label():
-    conv = Conversation()
-    with pytest.raises(UnknownLabel):
-        conv.checkpoint_count("never-set")
-
-
-def test_rollback_truncates_and_drops_later_labels():
-    conv = Conversation()
+    conv.append("system", "charter", pinned=True)
     conv.append("user", "one")
-    conv.checkpoint("early")
     conv.append("assistant", "two")
-    conv.checkpoint("late")
     conv.append("user", "three")
 
-    conv.rollback_to("early")
-    assert [m.content for m in conv.messages] == ["one"]
-    with pytest.raises(UnknownLabel):
-        conv.checkpoint_count("late")
+    conv.truncate(2)
+    assert [m.content for m in conv.messages] == ["charter", "one"]
+    conv.truncate(5)
+    assert len(conv) == 2
 
 
 def test_rollback_is_idempotent():
     conv = Conversation()
     conv.append("user", "one")
-    conv.checkpoint("mark")
+    mark = len(conv)
     conv.append("assistant", "two")
-    conv.rollback_to("mark")
-    conv.rollback_to("mark")
+    conv.truncate(mark)
+    conv.truncate(mark)
     assert [m.content for m in conv.messages] == ["one"]
 
 

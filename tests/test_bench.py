@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import json
+import time
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 import calcfix
 from calcfix import BENCH_STATEMENTS, ScriptedBackend, make_task
-from repeton import bench
 from repeton.bench import (
     BenchSummary,
     TaskInstance,
@@ -144,19 +146,16 @@ def test_parallelism_must_be_positive(calc_repo):
         )
 
 
-def test_crash_inside_the_pool_is_contained(calc_repo, tmp_path, monkeypatch):
-    def boom(task, config, backend):
-        raise RuntimeError("driver bug")
-
-    monkeypatch.setattr(bench, "run_irv", boom)
+def test_unopenable_session_folds_into_unresolved(calc_repo, tmp_path,
+                                                  unreachable_backend):
     reports, summary = run_bench(
         [make_task("calc-x", calc_repo)],
         1,
         IrvConfig(work_root=str(tmp_path / "work")),
-        ScriptedBackend([]),
+        unreachable_backend,
     )
     assert reports[0].outcome is RunOutcome.Unresolved
-    assert reports[0].event_names == ["harness-error:RuntimeError"]
+    assert reports[0].event_names == ["harness-error:HttpFailure"]
     assert summary.counts[RunOutcome.Unresolved] == 1
 
 
@@ -242,6 +241,48 @@ def test_unrunnable_validation_counts_as_failure(calc_repo, tmp_path):
         ScriptedBackend(calcfix.resolved_script()),
     )
     assert reports[0].outcome is RunOutcome.Unresolved
+
+
+def test_blank_validation_command_counts_as_failure(calc_repo, tmp_path):
+    reports, _ = run_bench(
+        [validated_task(calc_repo, "   ")], 1,
+        IrvConfig(work_root=str(tmp_path / "work")),
+        ScriptedBackend(calcfix.resolved_script()),
+    )
+    assert reports[0].outcome is RunOutcome.Unresolved
+
+
+def test_validation_timeout_kills_backgrounded_processes(calc_repo, tmp_path, gone):
+    command = "sh -c 'sleep 10 & echo $! > sleeper.pid; wait'"
+    task = replace(validated_task(calc_repo, command), time_limit_s=1)
+    reports, _ = run_bench(
+        [task], 1,
+        IrvConfig(work_root=str(tmp_path / "work")),
+        ScriptedBackend(calcfix.resolved_script()),
+    )
+    assert reports[0].outcome is RunOutcome.Unresolved
+    pid = int((Path(reports[0].workspace_root) / "sleeper.pid").read_text())
+    assert gone(pid)
+
+
+def test_negative_time_limit_fails_validation_and_kills_it(calc_repo, tmp_path, gone):
+    # Renamed into place, so the pid file never shows up half written.
+    command = "sh -c 'echo $$ > pid.tmp && mv pid.tmp validator.pid && exec sleep 10'"
+    task = replace(validated_task(calc_repo, command), time_limit_s=-1)
+    reports, _ = run_bench(
+        [task], 1,
+        IrvConfig(work_root=str(tmp_path / "work")),
+        ScriptedBackend(calcfix.resolved_script()),
+    )
+    assert reports[0].outcome is RunOutcome.Unresolved
+    # The kill may land before the command writes its pid; give a
+    # surviving command the time to write it.
+    pid_file = Path(reports[0].workspace_root) / "validator.pid"
+    deadline = time.monotonic() + 1.0
+    while not pid_file.exists() and time.monotonic() < deadline:
+        time.sleep(0.02)
+    if pid_file.exists():
+        assert gone(int(pid_file.read_text()))
 
 
 # ---- accounting ----

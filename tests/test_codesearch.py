@@ -7,7 +7,7 @@ import pytest
 import oracles
 from repeton.codesearch import (
     CONTENT_SCAN_CAP,
-    DEFAULT_LIMIT,
+    MATCH_LIMIT,
     MatchEntry,
     MatchSet,
     make_query,
@@ -88,10 +88,10 @@ def test_content_hits_count_keywords_not_occurrences(tmp_path):
 
 
 def test_result_list_is_capped(tmp_path):
-    for idx in range(DEFAULT_LIMIT + 5):
+    for idx in range(MATCH_LIMIT + 5):
         _seed(tmp_path, f"mod_{idx:02d}.py", "needle\n")
     matches = match_files(_ad_hoc_ws(tmp_path), make_query(["needle"]))
-    assert len(matches.entries) == DEFAULT_LIMIT
+    assert len(matches.entries) == MATCH_LIMIT
     assert matches.truncated
 
 

@@ -299,12 +299,23 @@ UNSIGNED_SUMMARY = (
 )
 
 
-def test_unsigned_summary_certifies_through_the_judge(calc_repo, work_root):
+def test_unsigned_summary_certifies_through_the_judge(
+    calc_repo, work_root, monkeypatch
+):
+    diffs = []
+
+    def counted_diff(ws, snap):
+        diffs.append(snap)
+        return compute_diff(ws, snap)
+
+    monkeypatch.setattr(orchestrator, "compute_diff", counted_diff)
     script = calcfix.resolved_script()
     script[0] = UNSIGNED_SUMMARY
     script[2:2] = ["BUG", "BUG"]  # one label per certification run
     report = run_custom(calc_repo, work_root, script)
     assert report.outcome is RunOutcome.Resolved
+    # Certification judges the base tree: only the final report diffs.
+    assert len(diffs) == 1
     assert "reproduction-certified" in report.event_names
     assert report.llm_calls_used == GOLDEN_CALLS["resolved"] + 2
     golden = (FIXTURES / "calc_golden.patch").read_text()
@@ -427,8 +438,24 @@ def test_unverified_mode_proceeds_without_certification(calc_repo, work_root):
     assert "refinement-rejected" in report.event_names
 
 
-def test_keep_first_candidate_overrides_later_edits(calc_repo, work_root):
-    script = [
+class PromptLog(ScriptedSession):
+    """Scripted session, and its own backend, that keeps the last
+    message of every prompt."""
+
+    def __init__(self, responses: list[str]) -> None:
+        super().__init__(responses)
+        self.last_messages: list[str] = []
+
+    def complete(self, messages, params) -> str:
+        self.last_messages.append(messages[-1].content)
+        return super().complete(messages, params)
+
+    def session(self) -> PromptLog:
+        return self
+
+
+def two_pass_script() -> list[str]:
+    return [
         SUMMARY_REPLY,
         calcfix._propose_test("test_add.py", TEST_SOURCE),
         *calcfix._search_steps(),
@@ -439,8 +466,23 @@ def test_keep_first_candidate_overrides_later_edits(calc_repo, work_root):
                start="5", end="5", replacement="    return a + b + 3"),
         action("done", "done"),
     ]
+
+
+def test_second_pass_opens_with_actions_its_stage_allows(calc_repo, work_root):
+    backend = PromptLog(two_pass_script())
+    config = replace(IrvConfig(work_root=str(work_root)), max_irv_iterations=2)
+    report = run_irv(make_task("calc-custom", calc_repo), config, backend)
+    assert report.iterations_used == 2
+    openings = [m for m in backend.last_messages if "repair pass" in m]
+    assert len(openings) == 2
+    assert "(action: set_keywords" in openings[0]
+    assert openings[1].startswith("[stage: Edit]")
+    assert "set_keywords" not in openings[1]
+
+
+def test_keep_first_candidate_overrides_later_edits(calc_repo, work_root):
     report = run_custom(
-        calc_repo, work_root, script,
+        calc_repo, work_root, two_pass_script(),
         max_irv_iterations=2, keep_first_passing=True,
     )
     assert report.outcome is RunOutcome.Unresolved
@@ -457,6 +499,15 @@ def test_unopenable_repo_folds_into_unresolved(tmp_path):
     report = run_irv(task, config, ScriptedBackend([]))
     assert report.outcome is RunOutcome.Unresolved
     assert report.event_names == ["harness-error:LocationUnavailable"]
+    assert report.llm_calls_used == 0
+    assert report.final_diff.is_empty
+
+
+def test_unopenable_session_folds_into_unresolved(work_root, unreachable_backend):
+    task = make_task("calc-offline", work_root / "never-cloned")
+    report = run_irv(task, IrvConfig(work_root=str(work_root)), unreachable_backend)
+    assert report.outcome is RunOutcome.Unresolved
+    assert report.event_names == ["harness-error:HttpFailure"]
     assert report.llm_calls_used == 0
     assert report.final_diff.is_empty
 

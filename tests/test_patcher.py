@@ -55,8 +55,8 @@ def test_machine_starts_at_keywords_with_a_checkpoint(calc_ws):
     assert machine.state.stage is IcsrStage.Keywords
     assert machine.state.attempts == {IcsrStage.Keywords: 1}
     checkpoint = machine.state.checkpoints[IcsrStage.Keywords]
-    assert checkpoint.conversation_label == "icsr:001:Keywords"
-    assert conv.checkpoint_count("icsr:001:Keywords") == 0
+    assert checkpoint.message_count == 0
+    assert checkpoint.snapshot.taken_at_stage == "Keywords"
 
 
 def test_stages_advance_in_fixed_order(calc_ws):
@@ -70,7 +70,6 @@ def test_stages_advance_in_fixed_order(calc_ws):
     assert machine.state.active_file == "calc.py"
     machine.advance_stage((4, 5))
     assert machine.state.stage is IcsrStage.Edit
-    assert machine.state.locus == (4, 5)
 
 
 def test_every_stage_has_a_vocabulary():
@@ -179,7 +178,6 @@ def test_switch_file_resets_to_localize_and_discards_edit(calc_ws):
     machine.switch_active_file("util.py")
     assert machine.state.stage is IcsrStage.Localize
     assert machine.state.active_file == "util.py"
-    assert machine.state.locus is None
     assert IcsrStage.Edit not in machine.state.checkpoints
     assert "return 0" not in (calc_ws.root / "calc.py").read_text()
     assert not machine.state.edit_applied

@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import signal
 import sys
+import time
+import tracemalloc
 
 import pytest
 
@@ -134,7 +138,7 @@ def test_run_test_kills_overrunning_process_group(calc_ws):
         "time.sleep(60)\n"
     )
     materialize_test(calc_ws, art)
-    run = run_test(calc_ws, art, testkit.TestLimits(timeout_s=0.5))
+    run = run_test(calc_ws, art, timeout_s=0.5)
     assert run.timed_out
     assert run.duration_s < 10
 
@@ -142,8 +146,82 @@ def test_run_test_kills_overrunning_process_group(calc_ws):
 def test_run_test_caps_output_tails(calc_ws):
     art = artifact("print('x' * 100000)\n")
     materialize_test(calc_ws, art)
-    run = run_test(calc_ws, art, testkit.TestLimits(output_cap=1024))
-    assert len(run.stdout_tail.encode()) <= 1024
+    run = run_test(calc_ws, art)
+    assert len(run.stdout_tail.encode()) <= testkit.OUTPUT_CAP_BYTES
+    assert run.stdout_tail.endswith("x\n")
+
+
+def test_descendant_holding_stdout_does_not_stall_a_passing_test(calc_ws):
+    # The grandchild starts its own session, so it outlives the test and
+    # keeps the test's stdout open after the test has exited.
+    art = artifact(
+        "import subprocess, sys\n"
+        "child = subprocess.Popen([sys.executable, '-c', 'import time; time.sleep(5)'],\n"
+        "                         start_new_session=True)\n"
+        "print(child.pid, flush=True)\n"
+    )
+    materialize_test(calc_ws, art)
+    run = run_test(calc_ws, art, timeout_s=2)
+    try:
+        assert not run.timed_out
+        assert run.duration_s < 1.5
+        verdict, _report = classify_result(run)
+        assert verdict is testkit.TestVerdict.Pass
+    finally:
+        os.kill(int(run.stdout_tail.split()[0]), signal.SIGKILL)
+
+
+def test_passing_test_leaves_no_process_in_its_group(calc_ws, gone):
+    # The sleeper stays in the test's process group but holds none of
+    # its output, so the test's exit alone ends the run.
+    art = artifact(
+        "import subprocess\n"
+        "sleeper = subprocess.Popen(['sleep', '30'], stdout=subprocess.DEVNULL,\n"
+        "                           stderr=subprocess.DEVNULL)\n"
+        "print(sleeper.pid, flush=True)\n"
+    )
+    materialize_test(calc_ws, art)
+    run = run_test(calc_ws, art, timeout_s=10)
+    assert run.exit_code == 0 and not run.timed_out
+    assert gone(int(run.stdout_tail.split()[0]))
+
+
+def test_a_failing_wait_still_kills_and_reaps_the_child(calc_ws, monkeypatch, gone):
+    art = artifact(
+        "import os, time\n"
+        "with open('pid.tmp', 'w') as out:\n"
+        "    out.write(str(os.getpid()))\n"
+        "os.replace('pid.tmp', 'test.pid')\n"
+        "time.sleep(30)\n"
+    )
+    materialize_test(calc_ws, art)
+    pid_file = calc_ws.root / "test.pid"
+
+    def failing_wait(*_args):
+        deadline = time.monotonic() + 5.0
+        while not pid_file.exists() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        raise OSError("scripted: wait failed")
+
+    monkeypatch.setattr(testkit.os, "waitid", failing_wait)
+    with pytest.raises(OSError, match="scripted"):
+        run_test(calc_ws, art, timeout_s=10)
+    assert gone(int(pid_file.read_text()))
+
+
+def test_output_is_not_buffered_in_memory(calc_ws):
+    size = 8 * 1024 * 1024
+    art = artifact(f"import sys\nsys.stdout.write('x' * {size})\n")
+    materialize_test(calc_ws, art)
+    tracemalloc.start()
+    try:
+        run = run_test(calc_ws, art)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert run.exit_code == 0
+    assert len(run.stdout_tail) == testkit.OUTPUT_CAP_BYTES
+    assert peak < size // 8
 
 
 def test_run_test_missing_interpreter_raises_spawn_failure(calc_ws):

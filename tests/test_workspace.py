@@ -107,7 +107,7 @@ def test_tracked_files_match_an_os_walk_oracle(calc_ws, tmp_path):
     (root / "far_link").symlink_to(outside)
 
     expected = oracles.walked_files(
-        root, calc_ws.ignored_dirs, calc_ws.ignored_suffixes
+        root, workspace.IGNORED_DIRS, workspace.IGNORED_SUFFIXES
     )
     assert "pkg/calc_link.py" in expected
     assert "pkg/.git" in expected

@@ -90,10 +90,6 @@ class Conversation:
         self.messages.append(message)
         return message
 
-    @property
-    def token_estimate(self) -> int:
-        return sum(estimate_tokens(m.content) for m in self.messages)
-
     def truncate(self, count: int) -> None:
         """Drop every message after the first ``count``."""
         del self.messages[count:]
@@ -295,11 +291,9 @@ class ReplaySession:
         self._records = records
         self._context_limit = context_limit
         self.cursor = 0
-        self.calls_made = 0
 
     def complete(self, messages: list[Message], params: BackendParams) -> str:
         ensure_context_fits(messages, params, self._context_limit)
-        self.calls_made += 1
         digest = request_digest(params.model_id, to_wire(messages))
         for idx in range(self.cursor, len(self._records)):
             if self._records[idx].request_digest == digest:

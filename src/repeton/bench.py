@@ -39,6 +39,17 @@ class TaskInstance:
     validation_command: str | None = None
     time_limit_s: float | None = None
 
+    def __post_init__(self) -> None:
+        # The id names the task's clone and output files: one plain name.
+        name = self.instance_id
+        if name in ("", ".", "..") or any(c in name for c in "/\\\0"):
+            raise ValueError(f"instance_id must be a plain file name: {name!r}")
+        if not isinstance(self.validation_command, (str, type(None))):
+            raise ValueError("validation_command must be a string or null")
+        limit = self.time_limit_s
+        if isinstance(limit, bool) or not isinstance(limit, (int, float, type(None))):
+            raise ValueError("time_limit must be a number of seconds or null")
+
 
 @dataclass(frozen=True)
 class BenchSummary:
@@ -99,16 +110,19 @@ def load_tasks(path: str | os.PathLike) -> list[TaskInstance]:
             if instance_id in seen:
                 raise DuplicateId(f"duplicate instance_id {instance_id!r}")
             seen.add(instance_id)
-            tasks.append(
-                TaskInstance(
-                    instance_id=instance_id,
-                    repo_location=str(data["repo_location"]),
-                    base_revision=str(data["base_revision"]),
-                    problem_statement=str(data["problem_statement"]),
-                    validation_command=data.get("validation_command"),
-                    time_limit_s=data.get("time_limit"),
+            try:
+                tasks.append(
+                    TaskInstance(
+                        instance_id=instance_id,
+                        repo_location=str(data["repo_location"]),
+                        base_revision=str(data["base_revision"]),
+                        problem_statement=str(data["problem_statement"]),
+                        validation_command=data.get("validation_command"),
+                        time_limit_s=data.get("time_limit"),
+                    )
                 )
-            )
+            except ValueError as exc:
+                raise ParseError(f"{path}:{lineno}: {exc}") from exc
     return tasks
 
 

@@ -158,7 +158,7 @@ def _write_outputs(report: RunReport, out_dir: str) -> None:
 
 def _task_from_args(args: argparse.Namespace) -> TaskInstance:
     statement = Path(args.problem_file).read_text(encoding="utf-8")
-    instance_id = args.instance_id or Path(args.repo).stem
+    instance_id = args.instance_id or Path(args.repo).resolve().name.removesuffix(".git")
     return TaskInstance(
         instance_id=instance_id,
         repo_location=args.repo,

@@ -51,7 +51,6 @@ class MatchSet:
 @dataclass(frozen=True)
 class MatchTree:
     text: str
-    node_count: int
 
 
 def make_query(tokens: Iterable[str]) -> KeywordQuery:
@@ -130,7 +129,7 @@ def render_match_tree(match_set: MatchSet, root_name: str) -> MatchTree:
 
     lines = [root_name]
     _render_children(tree, "", lines)
-    return MatchTree(text="\n".join(lines), node_count=len(lines))
+    return MatchTree(text="\n".join(lines))
 
 
 def _render_children(node: dict, prefix: str, lines: list[str]) -> None:

@@ -98,10 +98,6 @@ class SpawnFailure(RepetonError):
     """Test process could not be started."""
 
 
-class JudgeUnavailable(RepetonError):
-    """Model-backed verdict judge could not be reached."""
-
-
 # ---- agentio ----
 
 class MalformedAction(RepetonError):

@@ -4,8 +4,8 @@ A run starts by summarizing the problem statement into a short pinned
 note, then tries to obtain a reproduction test that fails consistently
 on the unpatched tree. Only then does the staged repair machine get to
 work, one region edit per iteration, with the test re-run after every
-pass. A run ends when the test passes, when a budget runs out (the last
-applied patch is then accepted by default), or when the bug never
+pass. A run ends when the test passes, when a budget runs out (the report
+then carries the last patch, unvalidated), or when the bug never
 reproduced in the first place.
 
 No exception escapes ``run_irv``; every failure folds into the run
@@ -23,6 +23,7 @@ from enum import Enum
 from typing import TYPE_CHECKING
 
 from .agentio import (
+    DEFAULT_WINDOW_K,
     BackendParams,
     Backend,
     Conversation,
@@ -38,13 +39,15 @@ from .errors import (
     BudgetExhausted,
     EmptyQuery,
     HttpFailure,
-    JudgeUnavailable,
     MalformedAction,
     RepetonError,
     UnknownAction,
 )
-from .patcher import STAGE_VOCABULARY, IcsrMachine, IcsrStage, RegionEdit
+from .patcher import (
+    DEFAULT_MAX_STAGE_ATTEMPTS, STAGE_VOCABULARY, IcsrMachine, IcsrStage, RegionEdit,
+)
 from .testkit import (
+    DEFAULT_TIMEOUT_S,
     DiagnosticReport,
     TestArtifact,
     TestVerdict,
@@ -137,14 +140,12 @@ class IrvConfig:
     max_irv_iterations: int = 6
     max_llm_calls: int = 60
     wall_clock_budget_s: float = 1800.0
-    window_k: int = 8
-    max_stage_attempts: int = 3
-    strict_reproduction: bool = True
-    keep_first_passing: bool = False
+    window_k: int = DEFAULT_WINDOW_K
+    max_stage_attempts: int = DEFAULT_MAX_STAGE_ATTEMPTS
     model_id: str = "deepseek-r1"
     temperature: float = 0.0
     max_tokens: int = 2048
-    test_timeout_s: float = 120.0
+    test_timeout_s: float = DEFAULT_TIMEOUT_S
     work_root: str | None = None
 
     def backend_params(self) -> BackendParams:
@@ -197,8 +198,8 @@ class RunReport:
 
 
 # ---- internal control-flow signals (never escape run_irv) ----
-# BaseException, so that no ``except Exception`` on their way up, such as
-# the judge wrap in ``classify_result``, can swallow them.
+# BaseException, so that no ``except Exception`` on their way up can
+# swallow them.
 
 class _LlmBudgetExceeded(BaseException):
     pass
@@ -271,9 +272,7 @@ class _RunContext:
     machine: IcsrMachine | None = None
     summary: ProblemSummary | None = None
     artifact: TestArtifact | None = None
-    verified: bool = False
     iterations_used: int = 0
-    first_candidate: DiffDocument | None = None
     events: list[tuple[str, str]] = field(default_factory=list)
 
     def note(self, name: str) -> None:
@@ -306,7 +305,7 @@ class _RunContext:
         ]
         try:
             raw = self.complete(prompt, self.config.backend_params())
-        except (JudgeUnavailable, HttpFailure):
+        except HttpFailure:
             self.note("judge-unavailable")
             return ""
         words = raw.strip().split()
@@ -376,8 +375,7 @@ def establish_reproduction(run: _RunContext) -> bool:
     """Try up to three test versions; True when one certifies.
 
     A certified test shows the bug, by signature or by the judge, on
-    two consecutive runs of the unpatched tree. On failure
-    ``run.artifact`` still holds the last materialized attempt, if any.
+    two consecutive runs of the unpatched tree.
     """
     request = TEST_REQUEST
     for version in range(1, MAX_TEST_VERSIONS + 1):
@@ -390,11 +388,11 @@ def establish_reproduction(run: _RunContext) -> bool:
             request = f"{built}\n\n{TEST_REQUEST}"
             continue
         materialize_test(run.ws, built)
-        run.artifact = built
         certified, verdicts = certify_failure(
             run.ws, built, run.config.test_timeout_s, judge=run.judge
         )
         if certified:
+            run.artifact = built
             run.note("reproduction-certified")
             run.conv.append(
                 "user",
@@ -539,10 +537,6 @@ def _dispatch(run: _RunContext, turn: ReactTurn) -> tuple[str, bool]:
             )
             diff = machine.apply_region_edit(edit)
             run.note("edit-applied")
-            if run.config.keep_first_passing and run.first_candidate is None:
-                cumulative = compute_diff(ws, run.base_snapshot)
-                if not cumulative.is_empty:
-                    run.first_candidate = cumulative
             return f"Edit applied. Diff:\n{_clip(diff.text)}", False
 
         if turn.action == "rollback":
@@ -622,10 +616,6 @@ def _report(
             outcome = RunOutcome.Unresolved
 
     if outcome is None:
-        # Set only under keep_first_passing.
-        if not passed and run.first_candidate is not None:
-            diff = run.first_candidate
-            run.note("kept-first-candidate")
         if passed and not diff.is_empty:
             outcome = RunOutcome.Resolved
             run.note("resolved")
@@ -680,17 +670,9 @@ def run_irv(task: "TaskInstance", config: IrvConfig, backend: Backend) -> RunRep
         )
         run.note("summary-pinned")
 
-        run.verified = establish_reproduction(run)
-        if not run.verified:
-            if config.strict_reproduction:
-                run.note("cannot-reproduce")
-                return _report(run, outcome=RunOutcome.CannotReproduce)
-            run.note("unverified-reproduction")
-            run.conv.append(
-                "user",
-                "No certified reproduction test exists. Proceed carefully; "
-                "patches cannot be validated automatically.",
-            )
+        if not establish_reproduction(run):
+            run.note("cannot-reproduce")
+            return _report(run, outcome=RunOutcome.CannotReproduce)
 
         run.machine = IcsrMachine(
             run.ws, run.conv, max_stage_attempts=config.max_stage_attempts
@@ -700,11 +682,8 @@ def run_irv(task: "TaskInstance", config: IrvConfig, backend: Backend) -> RunRep
             run.iterations_used = iteration
             run.note(f"iteration-{iteration}")
             _drive_icsr_pass(run)
-            if run.artifact is None:
-                continue  # no test was ever written: nothing validates
-
             verdict, report = _validate_patch(run)
-            if verdict is TestVerdict.Pass and run.verified:
+            if verdict is TestVerdict.Pass:
                 return _report(run, passed=True)
             if verdict is TestVerdict.FailInvalidTest:
                 _refine_test(run, report)

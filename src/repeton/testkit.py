@@ -16,7 +16,8 @@ Classification is rule-ordered and deterministic; an optional judge
 callback breaks ties for logs the rules cannot read, and may never
 declare a test passing. ``classify_result`` alone maps the judge's
 labels, and one judge serves both the certification of a reproduction
-test (``certify_failure``) and the validation of each patch.
+test (``certify_failure``) and the validation of each patch. Whatever
+the judge raises reaches the caller unchanged.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import BinaryIO, Callable, Sequence
 
-from .errors import IoFailure, JudgeUnavailable, SpawnFailure
+from .errors import IoFailure, SpawnFailure
 from .workspace import RESERVED_TEST_DIR, Workspace
 
 logger = logging.getLogger(__name__)
@@ -209,10 +210,8 @@ def classify_result(
 
     Rule order: clean exit wins, then timeout, then import/collection
     markers, then the expected failure signature, then the judge. The
-    judge may only confirm a bug or condemn the test, never pass it. A
-    judge that raises surfaces as ``JudgeUnavailable``; exceptions that
-    do not derive from ``Exception``, such as a caller's budget signals,
-    pass through unwrapped.
+    judge may only confirm a bug or condemn the test, never pass it;
+    whatever it raises propagates unchanged.
     """
     if result.exit_code == 0 and not result.timed_out:
         return TestVerdict.Pass, None
@@ -232,12 +231,7 @@ def classify_result(
         verdict = TestVerdict.Inconclusive
         suggestion = "failure does not match the expected signature; inspect the log"
         if judge is not None:
-            try:
-                label = judge(_excerpt(result))
-            except JudgeUnavailable:
-                raise
-            except Exception as exc:
-                raise JudgeUnavailable(f"judge callback failed: {exc}") from exc
+            label = judge(_excerpt(result))
             verdict = _JUDGE_LABELS.get(label.strip().lower(), TestVerdict.Inconclusive)
             if verdict is not TestVerdict.Inconclusive:
                 suggestion = f"judge classified the failure as {verdict.value}"

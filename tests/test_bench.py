@@ -96,6 +96,34 @@ def test_load_tasks_rejects_duplicate_ids(tmp_path):
         load_tasks(path)
 
 
+@pytest.mark.parametrize(
+    "instance_id", ["", ".", "..", "../escaped", "/srv/abs", "a/b", "a\\b", "a\0b"]
+)
+def test_load_tasks_rejects_ids_that_are_not_plain_names(tmp_path, instance_id):
+    path = write_tasks(tmp_path, [task_row("a-1"), task_row(instance_id)])
+    with pytest.raises(ParseError, match=r":2: instance_id must be a plain"):
+        load_tasks(path)
+
+
+@pytest.mark.parametrize(
+    ("extra", "field"),
+    [
+        ({"time_limit": "0.5"}, "time_limit"),
+        ({"time_limit": True}, "time_limit"),
+        ({"validation_command": ["true"]}, "validation_command"),
+    ],
+)
+def test_load_tasks_checks_optional_field_types(tmp_path, extra, field):
+    path = write_tasks(tmp_path, [task_row("a-1", **extra)])
+    with pytest.raises(ParseError, match=rf":1: {field} must be"):
+        load_tasks(path)
+
+
+def test_load_tasks_accepts_fractional_time_limits(tmp_path):
+    path = write_tasks(tmp_path, [task_row("a-1", time_limit=0.5)])
+    assert load_tasks(path)[0].time_limit_s == 0.5
+
+
 # ---- batch execution ----
 
 def bench_tasks(calc_repo):

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -103,12 +105,12 @@ def test_config_file_accepts_key_value_lines(tmp_path):
         "\n"
         "window_k = 4\n"
         "model_id = local-model\n"
-        "strict_reproduction = false\n"
+        "test_timeout_s = 30\n"
     )
     assert cli.load_config_file(str(path)) == {
         "window_k": 4,
         "model_id": "local-model",
-        "strict_reproduction": False,
+        "test_timeout_s": 30,
     }
 
 
@@ -124,6 +126,29 @@ def test_config_file_rejects_unknown_keys(tmp_path):
     path.write_text('{"max_irv_iterations": 2, "wibble": 1}')
     with pytest.raises(ValueError, match="unknown config keys: wibble"):
         cli.load_config_file(str(path))
+
+
+@pytest.mark.parametrize(
+    "line", ["strict_reproduction = false", "keep_first_passing = true"]
+)
+def test_config_naming_a_removed_field_is_a_usage_error(
+    tmp_path, calc_repo, capsys, line
+):
+    conf = tmp_path / "conf.txt"
+    conf.write_text(line + "\n")
+    argv = run_args(tmp_path, calc_repo, "resolved.jsonl", "--config", str(conf))
+    assert cli.route(argv) == 2
+    assert "unknown config keys" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_readme_lists_every_config_field():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    listed = re.search(r"naming any run\s+config field \(([^)]*)\)", readme)
+    assert listed is not None
+    assert re.findall(r"`(\w+)`", listed.group(1)) == [
+        f.name for f in dataclasses.fields(IrvConfig)
+    ]
 
 
 def test_config_file_accepts_an_empty_object(tmp_path):
@@ -217,6 +242,35 @@ def test_record_writes_a_transcript_that_replays(
     assert [name for _, name in recorded["events"]] == [
         name for _, name in replayed["events"]
     ]
+
+
+def test_run_names_a_dot_repo_after_its_directory(
+    tmp_path, calc_repo, capsys, monkeypatch
+):
+    monkeypatch.chdir(calc_repo)
+    argv = run_args(tmp_path, calc_repo, "resolved.jsonl")
+    argv[argv.index("--repo") + 1] = "."
+    assert cli.route(argv) == 0
+    capsys.readouterr()
+    name = calc_repo.name
+    golden = (FIXTURES / "calc_golden.patch").read_text()
+    assert (tmp_path / "out" / f"{name}.patch").read_text() == golden
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
+        f"{name}.json", f"{name}.patch",
+    ]
+    assert (tmp_path / "work" / name / "repo").is_dir()
+
+
+@pytest.mark.parametrize(
+    ("directory", "expected"), [("my.project", "my.project"), ("calc.git", "calc")]
+)
+def test_default_instance_id_is_the_directory_name(tmp_path, directory, expected):
+    (tmp_path / directory).mkdir()
+    args = cli.build_parser().parse_args([
+        "run", "--repo", str(tmp_path / directory), "--rev", "HEAD",
+        "--problem-file", str(write_problem(tmp_path)),
+    ])
+    assert cli._task_from_args(args).instance_id == expected
 
 
 def test_run_exits_one_on_non_resolved_outcomes(tmp_path, calc_repo, capsys):

@@ -156,7 +156,6 @@ def test_tree_rendering_golden():
         "    │   └── c.py [score=4]\n"
         "    └── a.py [score=2]"
     )
-    assert tree.node_count == 5
 
 
 def test_tree_rendering_single_top_level_file():
@@ -169,7 +168,6 @@ def test_tree_rendering_single_top_level_file():
     )
     tree = render_match_tree(matches, "proj")
     assert tree.text == "proj\n└── solo.py [score=3]"
-    assert tree.node_count == 2
 
 
 def test_directories_sort_before_files(tmp_path):

@@ -396,6 +396,16 @@ def test_unreachable_judge_keeps_verdict_inconclusive(calc_repo, work_root):
     assert "verdict:Inconclusive" in report.event_names
 
 
+def test_failing_judge_ends_the_run_with_its_own_error(calc_repo, work_root):
+    # The script runs out exactly at the judge call.
+    report = run_custom(
+        calc_repo, work_root, judged_edit_script(), max_irv_iterations=1
+    )
+    assert report.outcome is RunOutcome.Unresolved
+    assert report.event_names[-1] == "harness-error:AssertionError"
+    assert "judge-unavailable" not in report.event_names
+
+
 def test_broken_test_is_refined_and_recertified(calc_repo, work_root):
     script = [
         SUMMARY_REPLY,
@@ -416,26 +426,6 @@ def test_broken_test_is_refined_and_recertified(calc_repo, work_root):
     assert report.iterations_used == 2
     golden = (FIXTURES / "calc_golden.patch").read_text()
     assert report.final_diff.text == golden
-
-
-def test_unverified_mode_proceeds_without_certification(calc_repo, work_root):
-    script = [
-        SUMMARY_REPLY,
-        calcfix._propose_test("test_v1.py", calcfix.BROKEN_TEST_SOURCE),
-        calcfix._propose_test("test_v2.py", calcfix.BROKEN_TEST_SOURCE),
-        calcfix._propose_test("test_v3.py", calcfix.BROKEN_TEST_SOURCE),
-        *calcfix._search_steps(),
-        action("stop here", "done"),
-        calcfix._propose_test("test_v4.py", calcfix.BROKEN_TEST_SOURCE),
-    ]
-    report = run_custom(
-        calc_repo, work_root, script,
-        strict_reproduction=False, max_irv_iterations=1,
-    )
-    assert report.outcome is RunOutcome.EmptyPatch
-    assert "unverified-reproduction" in report.event_names
-    assert "verdict:FailInvalidTest" in report.event_names
-    assert "refinement-rejected" in report.event_names
 
 
 class PromptLog(ScriptedSession):
@@ -480,15 +470,13 @@ def test_second_pass_opens_with_actions_its_stage_allows(calc_repo, work_root):
     assert "set_keywords" not in openings[1]
 
 
-def test_keep_first_candidate_overrides_later_edits(calc_repo, work_root):
+def test_budget_end_reports_the_last_edit(calc_repo, work_root):
     report = run_custom(
-        calc_repo, work_root, two_pass_script(),
-        max_irv_iterations=2, keep_first_passing=True,
+        calc_repo, work_root, two_pass_script(), max_irv_iterations=2
     )
     assert report.outcome is RunOutcome.Unresolved
-    assert "kept-first-candidate" in report.event_names
-    assert "+    return a + b + 2" in report.final_diff.text
-    assert "+ 3" not in report.final_diff.text
+    assert "+    return a + b + 3" in report.final_diff.text
+    assert "+ 2" not in report.final_diff.text
 
 
 # ---- crashes ----

@@ -2,30 +2,24 @@
 
 Tasks come from a JSONL file, one object per line. Each task runs in
 its own isolated workspace, so any parallelism degree produces the same
-reports in the same (input) order. An optional per-task validation
-command can confirm a Resolved outcome; it can only ever downgrade,
-never upgrade. It runs through testkit's ``run_command``, as tests do.
-``run_irv`` never raises, so a batch needs no fallback report.
+reports in the same (input) order. A task's optional validation command
+runs inside ``run_irv``, at the end of the run, and can only ever
+downgrade a Resolved outcome. ``run_irv`` never raises and returns a
+finished report, so a batch adds nothing to it.
 """
 
 from __future__ import annotations
 
 import json
-import logging
+import math
 import os
-import shlex
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
 from .agentio import Backend
-from .errors import DuplicateId, EmptyBatch, ParseError, SpawnFailure
-from .orchestrator import IrvConfig, RunOutcome, RunReport, _now, run_irv
-from .testkit import run_command
-
-logger = logging.getLogger(__name__)
-
-VALIDATION_DEFAULT_TIMEOUT_S = 300.0
+from .errors import DuplicateId, EmptyBatch, ParseError
+from .orchestrator import IrvConfig, RunOutcome, RunReport, run_irv
 
 _REQUIRED_KEYS = ("instance_id", "repo_location", "base_revision", "problem_statement")
 
@@ -47,8 +41,9 @@ class TaskInstance:
         if not isinstance(self.validation_command, (str, type(None))):
             raise ValueError("validation_command must be a string or null")
         limit = self.time_limit_s
-        if isinstance(limit, bool) or not isinstance(limit, (int, float, type(None))):
-            raise ValueError("time_limit must be a number of seconds or null")
+        if (isinstance(limit, bool) or not isinstance(limit, (int, float, type(None)))
+                or not math.isfinite(limit or 0)):
+            raise ValueError("time_limit must be a finite number of seconds or null")
 
 
 @dataclass(frozen=True)
@@ -126,30 +121,6 @@ def load_tasks(path: str | os.PathLike) -> list[TaskInstance]:
     return tasks
 
 
-def _validation_passes(task: TaskInstance, report: RunReport) -> bool:
-    if not report.workspace_root:
-        return False
-    try:
-        result = run_command(
-            report.workspace_root,
-            shlex.split(task.validation_command),
-            task.time_limit_s or VALIDATION_DEFAULT_TIMEOUT_S,
-        )
-    except (OSError, SpawnFailure, ValueError, IndexError):
-        return False
-    return result.exit_code == 0 and not result.timed_out
-
-
-def _run_one(task: TaskInstance, config: IrvConfig, backend: Backend) -> RunReport:
-    report = run_irv(task, config, backend)
-    if report.outcome is RunOutcome.Resolved and task.validation_command:
-        if not _validation_passes(task, report):
-            report.outcome = RunOutcome.Unresolved
-            report.event_log.append((_now(), "validation-downgrade"))
-            logger.info("[%s] validation command failed; downgraded", task.instance_id)
-    return report
-
-
 def run_bench(
     tasks: list[TaskInstance],
     parallelism: int,
@@ -163,9 +134,7 @@ def run_bench(
         raise ValueError(f"parallelism must be >= 1, got {parallelism}")
 
     with ThreadPoolExecutor(max_workers=parallelism) as pool:
-        reports = list(
-            pool.map(lambda task: _run_one(task, config, backend), tasks)
-        )
+        reports = list(pool.map(lambda task: run_irv(task, config, backend), tasks))
     return reports, summarize_outcomes(reports)
 
 

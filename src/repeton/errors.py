@@ -2,7 +2,8 @@
 
 Every operation that can fail raises one of these instead of leaking
 subprocess or OS errors to callers. The orchestrator catches the base
-class and folds failures into the run report.
+class and folds failures into the run report; ``BudgetExhausted``, the
+one signal that stops a run, is not a ``RepetonError``.
 """
 
 from __future__ import annotations
@@ -72,8 +73,13 @@ class ForwardRollback(RepetonError):
     """Rollback target is not strictly earlier than the current stage."""
 
 
-class BudgetExhausted(RepetonError):
-    """Attempt budget for a stage is used up."""
+class BudgetExhausted(BaseException):
+    """A run budget, named by ``budget``, is used up. A ``BaseException``,
+    so that no ``except Exception`` on its way up can swallow it."""
+
+    def __init__(self, message: str = "", budget: str = "stage-attempts") -> None:
+        super().__init__(message)
+        self.budget = budget
 
 
 class SecondEditInIteration(RepetonError):

@@ -6,10 +6,12 @@ on the unpatched tree. Only then does the staged repair machine get to
 work, one region edit per iteration, with the test re-run after every
 pass. A run ends when the test passes, when a budget runs out (the report
 then carries the last patch, unvalidated), or when the bug never
-reproduced in the first place.
+reproduced in the first place. Every budget stops a run through one
+signal, ``BudgetExhausted``. A Resolved run then runs the task's
+validation command, whose failure downgrades it to Unresolved.
 
 No exception escapes ``run_irv``; every failure folds into the run
-report's outcome and event log.
+report's outcome and event log, and a report is never changed after.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ from .errors import (
     HttpFailure,
     MalformedAction,
     RepetonError,
+    SpawnFailure,
     UnknownAction,
 )
 from .patcher import (
@@ -54,6 +57,7 @@ from .testkit import (
     certify_failure,
     classify_result,
     materialize_test,
+    run_command,
     run_test,
 )
 from .workspace import (
@@ -75,6 +79,7 @@ SUMMARY_CHAR_CAP = 2000
 MAX_TEST_VERSIONS = 3
 REACT_RETRIES = 2
 OBSERVATION_CAP = 4096
+VALIDATION_DEFAULT_TIMEOUT_S = 300.0
 
 TESTING_VOCABULARY = ("propose_test",)
 
@@ -156,7 +161,7 @@ class IrvConfig:
         )
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunReport:
     instance_id: str
     outcome: RunOutcome
@@ -165,9 +170,6 @@ class RunReport:
     llm_calls_used: int
     duration_s: float
     event_log: list[tuple[str, str]]
-    # Retained so a benchmark driver can run validation commands against
-    # the patched tree; never serialized.
-    workspace_root: str | None = None
 
     def to_json_dict(self) -> dict:
         return {
@@ -195,18 +197,6 @@ class RunReport:
     @property
     def event_names(self) -> list[str]:
         return [name for _, name in self.event_log]
-
-
-# ---- internal control-flow signals (never escape run_irv) ----
-# BaseException, so that no ``except Exception`` on their way up can
-# swallow them.
-
-class _LlmBudgetExceeded(BaseException):
-    pass
-
-
-class _WallClockExceeded(BaseException):
-    pass
 
 
 def _now() -> str:
@@ -260,7 +250,7 @@ def summarize_problem(
 
 @dataclass
 class _RunContext:
-    instance_id: str
+    task: TaskInstance
     config: IrvConfig
     # None until ``run_irv`` has opened the backend session.
     session: Session | None = None
@@ -277,14 +267,14 @@ class _RunContext:
 
     def note(self, name: str) -> None:
         self.events.append((_now(), name))
-        logger.info("[%s] %s", self.instance_id, name)
+        logger.info("[%s] %s", self.task.instance_id, name)
 
     def complete(self, messages: list[Message], params: BackendParams) -> str:
         """One completion call, within the run's call and clock budgets."""
         if time.monotonic() > self.started + self.config.wall_clock_budget_s:
-            raise _WallClockExceeded()
+            raise BudgetExhausted(budget="wall-clock")
         if self.calls >= self.config.max_llm_calls:
-            raise _LlmBudgetExceeded()
+            raise BudgetExhausted(budget="llm-calls")
         self.calls += 1
         return self.session.complete(messages, params)
 
@@ -550,8 +540,6 @@ def _dispatch(run: _RunContext, turn: ReactTurn) -> tuple[str, bool]:
             return "", True
 
         return f"Action {turn.action!r} is not available here.", False
-    except BudgetExhausted:
-        raise
     except (RepetonError, ValueError) as exc:
         return f"Action failed: {exc}", False
 
@@ -596,6 +584,19 @@ def _validate_patch(run: _RunContext) -> tuple[TestVerdict, DiagnosticReport | N
     return verdict, report
 
 
+def _validation_passes(run: _RunContext) -> bool:
+    """Whether the validation command exits 0 in time; unrunnable fails."""
+    try:
+        result = run_command(
+            run.ws.root,
+            shlex.split(run.task.validation_command),
+            run.task.time_limit_s or VALIDATION_DEFAULT_TIMEOUT_S,
+        )
+    except (OSError, SpawnFailure, ValueError, IndexError):
+        return False
+    return result.exit_code == 0 and not result.timed_out
+
+
 def _report(
     run: _RunContext, passed: bool = False, outcome: RunOutcome | None = None
 ) -> RunReport:
@@ -603,15 +604,16 @@ def _report(
 
     ``outcome`` fixes the outcome: ``CannotReproduce``, or ``Unresolved``
     after a harness error whatever the tree holds. Without it, ``passed``
-    and the final diff decide. A failure to diff the tree is a harness
-    error too: it is noted and the run ends Unresolved with no diff.
+    and the final diff decide, then the validation command may downgrade
+    Resolved. A failure to diff the tree is a harness error too: it is
+    noted and the run ends Unresolved with no diff.
     """
     diff = DiffDocument("")
     if run.ws is not None and run.base_snapshot is not None:
         try:
             diff = compute_diff(run.ws, run.base_snapshot)
         except Exception as exc:  # noqa: BLE001 - contract: nothing escapes
-            logger.exception("run %s: final diff failed", run.instance_id)
+            logger.exception("run %s: final diff failed", run.task.instance_id)
             run.note(f"harness-error:{type(exc).__name__}")
             outcome = RunOutcome.Unresolved
 
@@ -619,6 +621,9 @@ def _report(
         if passed and not diff.is_empty:
             outcome = RunOutcome.Resolved
             run.note("resolved")
+            if run.task.validation_command and not _validation_passes(run):
+                outcome = RunOutcome.Unresolved
+                run.note("validation-downgrade")
         elif diff.is_empty:
             outcome = RunOutcome.EmptyPatch
             run.note("empty-patch")
@@ -627,14 +632,13 @@ def _report(
             run.note("unresolved:last-patch-accepted")
 
     return RunReport(
-        instance_id=run.instance_id,
+        instance_id=run.task.instance_id,
         outcome=outcome,
         final_diff=diff,
         iterations_used=run.iterations_used,
         llm_calls_used=run.calls,
         duration_s=time.monotonic() - run.started,
         event_log=run.events,
-        workspace_root=str(run.ws.root) if run.ws else None,
     )
 
 
@@ -642,7 +646,7 @@ def _report(
 
 def run_irv(task: "TaskInstance", config: IrvConfig, backend: Backend) -> RunReport:
     """Run the full loop for one task. Never raises."""
-    run = _RunContext(instance_id=task.instance_id, config=config)
+    run = _RunContext(task=task, config=config)
 
     try:
         run.session = backend.session()
@@ -695,12 +699,8 @@ def run_irv(task: "TaskInstance", config: IrvConfig, backend: Backend) -> RunRep
                 )
 
         run.note("budget-exhausted:iterations")
-    except _LlmBudgetExceeded:
-        run.note("budget-exhausted:llm-calls")
-    except _WallClockExceeded:
-        run.note("budget-exhausted:wall-clock")
-    except BudgetExhausted:
-        run.note("budget-exhausted:stage-attempts")
+    except BudgetExhausted as spent:
+        run.note(f"budget-exhausted:{spent.budget}")
     except Exception as exc:  # noqa: BLE001 - contract: nothing escapes
         logger.exception("run %s crashed", task.instance_id)
         run.note(f"harness-error:{type(exc).__name__}")

@@ -34,7 +34,7 @@ from enum import Enum
 from typing import BinaryIO, Callable, Sequence
 
 from .errors import IoFailure, SpawnFailure
-from .workspace import RESERVED_TEST_DIR, Workspace
+from .workspace import RESERVED_TEST_DIR, Workspace, confined_path
 
 logger = logging.getLogger(__name__)
 
@@ -105,8 +105,9 @@ class DiagnosticReport:
 
 
 def materialize_test(ws: Workspace, artifact: TestArtifact) -> None:
-    """Write the test file into the reserved directory."""
-    target = ws.root / artifact.file_name
+    """Write the test file into the reserved directory; ``PathEscape``
+    if a link planted there leads out of the clone."""
+    target = confined_path(ws, artifact.file_name)
     try:
         target.parent.mkdir(parents=True, exist_ok=True)
         target.write_text(artifact.source_text, encoding="utf-8")
@@ -146,7 +147,10 @@ def run_command(
     cwd: str | os.PathLike, argv: Sequence[str], timeout_s: float
 ) -> ExecutionResult:
     """Run ``argv`` in ``cwd`` with the scrubbed environment; kill its
-    process group once it exits or ``timeout_s`` has passed."""
+    process group once it exits or ``timeout_s`` has passed. A timeout
+    no timer can hold (NaN, infinite, too large) is a ``ValueError``."""
+    if not timeout_s <= threading.TIMEOUT_MAX:
+        raise ValueError(f"timeout must be at most {threading.TIMEOUT_MAX} s, got {timeout_s}")
     start = time.monotonic()
     with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
         try:

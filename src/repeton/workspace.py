@@ -345,7 +345,7 @@ def restore_snapshot(ws: Workspace, snap: Snapshot) -> None:
     Files missing from the snapshot are deleted, and so are directories
     that this leaves empty, up to the tree root; a directory a snapshot
     file lives in is made again when that file is written. Changed or
-    deleted files are rewritten from the pack.
+    deleted files are rewritten from the pack, never through a link.
     """
     _check_owner(ws, snap)
     current = _scan(ws, park=False)
@@ -358,12 +358,26 @@ def restore_snapshot(ws: Workspace, snap: Snapshot) -> None:
         for rel, digest in snap.digest_map.items():
             if current.get(rel) == digest:
                 continue
-            target = ws.root / rel
-            target.parent.mkdir(parents=True, exist_ok=True)
-            target.write_bytes(_blob_bytes(ws, digest))
+            _clear_way(ws, rel).write_bytes(_blob_bytes(ws, digest))
             ws._stat_cache.pop(rel, None)
     except OSError as exc:
         raise IoFailure(f"restore of {snap.snapshot_id} failed: {exc}") from exc
+
+
+def _clear_way(ws: Workspace, rel: str) -> Path:
+    """``ws.root / rel`` once every parent is a real directory and no link
+    sits at the path: a link or file in the way is unlinked."""
+    *parents, name = rel.split("/")
+    path = ws.root
+    for part in parents:
+        path = path / part
+        if path.is_symlink() or path.is_file():
+            path.unlink()
+        path.mkdir(exist_ok=True)
+    path = path / name
+    if path.is_symlink():
+        path.unlink()
+    return path
 
 
 def _prune_empty_parents(ws: Workspace, rel: str) -> None:

@@ -5,12 +5,12 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import replace
-from pathlib import Path
 
 import pytest
 
 import calcfix
 from calcfix import BENCH_STATEMENTS, ScriptedBackend, make_task
+from repeton import orchestrator
 from repeton.bench import (
     BenchSummary,
     TaskInstance,
@@ -111,6 +111,8 @@ def test_load_tasks_rejects_ids_that_are_not_plain_names(tmp_path, instance_id):
         ({"time_limit": "0.5"}, "time_limit"),
         ({"time_limit": True}, "time_limit"),
         ({"validation_command": ["true"]}, "validation_command"),
+        ({"time_limit": float("inf")}, "time_limit"),
+        ({"time_limit": float("nan")}, "time_limit"),
     ],
 )
 def test_load_tasks_checks_optional_field_types(tmp_path, extra, field):
@@ -289,7 +291,8 @@ def test_validation_timeout_kills_backgrounded_processes(calc_repo, tmp_path, go
         ScriptedBackend(calcfix.resolved_script()),
     )
     assert reports[0].outcome is RunOutcome.Unresolved
-    pid = int((Path(reports[0].workspace_root) / "sleeper.pid").read_text())
+    clone = tmp_path / "work" / task.instance_id / "repo"
+    pid = int((clone / "sleeper.pid").read_text())
     assert gone(pid)
 
 
@@ -305,12 +308,40 @@ def test_negative_time_limit_fails_validation_and_kills_it(calc_repo, tmp_path, 
     assert reports[0].outcome is RunOutcome.Unresolved
     # The kill may land before the command writes its pid; give a
     # surviving command the time to write it.
-    pid_file = Path(reports[0].workspace_root) / "validator.pid"
+    pid_file = tmp_path / "work" / task.instance_id / "repo" / "validator.pid"
     deadline = time.monotonic() + 1.0
     while not pid_file.exists() and time.monotonic() < deadline:
         time.sleep(0.02)
     if pid_file.exists():
         assert gone(int(pid_file.read_text()))
+
+
+def test_validation_time_counts_in_the_run_duration(calc_repo, tmp_path):
+    reports, _ = run_bench(
+        [validated_task(calc_repo, "sleep 0.4")], 1,
+        IrvConfig(work_root=str(tmp_path / "work")),
+        ScriptedBackend(calcfix.resolved_script()),
+    )
+    assert reports[0].outcome is RunOutcome.Resolved
+    assert reports[0].duration_s >= 0.4
+
+
+def test_validation_that_raises_folds_into_a_harness_error(
+    calc_repo, tmp_path, monkeypatch
+):
+    def broken(*args):
+        raise RuntimeError("scripted: runner broke")
+
+    monkeypatch.setattr(orchestrator, "run_command", broken)
+    tasks = [validated_task(calc_repo, "true"), bench_tasks(calc_repo)[0]]
+    reports, _ = run_bench(
+        tasks, 1,
+        IrvConfig(work_root=str(tmp_path / "work")),
+        ScriptedBackend(calcfix.resolved_script()),
+    )
+    assert reports[0].outcome is RunOutcome.Unresolved
+    assert reports[0].event_names[-2:] == ["resolved", "harness-error:RuntimeError"]
+    assert reports[1].outcome is RunOutcome.Resolved
 
 
 # ---- accounting ----

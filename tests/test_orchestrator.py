@@ -152,7 +152,7 @@ def test_resolved_diff_matches_frozen_patch(calc_repo, work_root):
 
 def test_resolved_leaves_patched_tree_behind(calc_repo, work_root):
     report = run_scenario("resolved", calc_repo, work_root)
-    root = Path(report.workspace_root)
+    root = work_root / report.instance_id / "repo"
     assert "return a + b\n" in (root / "calc.py").read_text()
     assert (root / ".repeton_tests" / "test_add.py").exists()
 
@@ -500,6 +500,14 @@ def test_unopenable_session_folds_into_unresolved(work_root, unreachable_backend
     assert report.final_diff.is_empty
 
 
+def test_test_timeout_no_timer_can_hold_folds_into_unresolved(calc_repo, work_root):
+    report = run_custom(
+        calc_repo, work_root, calcfix.resolved_script(), test_timeout_s=float("inf")
+    )
+    assert report.outcome is RunOutcome.Unresolved
+    assert report.event_names[-1] == "harness-error:ValueError"
+
+
 def test_backend_crash_folds_into_unresolved(calc_repo, work_root):
     report = run_custom(calc_repo, work_root, [])
     assert report.outcome is RunOutcome.Unresolved
@@ -513,15 +521,9 @@ def test_backend_crash_folds_into_unresolved(calc_repo, work_root):
 def test_report_round_trips_through_json(calc_repo, work_root):
     report = run_scenario("resolved", calc_repo, work_root)
     clone = RunReport.from_json_dict(report.to_json_dict())
-    assert clone.instance_id == report.instance_id
-    assert clone.outcome is report.outcome
-    assert clone.final_diff.text == report.final_diff.text
+    assert clone == report
     assert clone.final_diff.files_touched == 1
     assert clone.final_diff.hunk_count == 1
-    assert clone.iterations_used == report.iterations_used
-    assert clone.llm_calls_used == report.llm_calls_used
-    assert clone.duration_s == report.duration_s
-    assert clone.event_log == report.event_log
 
 
 def test_diff_counts_survive_a_json_round_trip(calc_ws):

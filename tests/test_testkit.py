@@ -11,7 +11,7 @@ import tracemalloc
 import pytest
 
 from repeton import testkit
-from repeton.errors import SpawnFailure
+from repeton.errors import PathEscape, SpawnFailure
 from repeton.testkit import (
     CERTIFICATION_RUNS,
     ExecutionResult,
@@ -95,6 +95,31 @@ def test_materialize_writes_under_workspace_root(calc_ws):
     materialize_test(calc_ws, art)
     target = calc_ws.root / ".repeton_tests" / "check.py"
     assert target.read_text() == "assert True\n"
+
+
+@pytest.mark.parametrize("planted", ["file", "directory"])
+def test_materialize_never_writes_through_a_planted_link(calc_ws, tmp_path, planted):
+    outside = tmp_path / "outside"
+    outside.mkdir()
+    victim = outside / "check.py"
+    victim.write_text("VICTIM = 1\n")
+    tests_dir = calc_ws.root / ".repeton_tests"
+    if planted == "file":
+        tests_dir.mkdir()
+        (tests_dir / "check.py").symlink_to(victim)
+    else:
+        tests_dir.symlink_to(outside, target_is_directory=True)
+    with pytest.raises(PathEscape):
+        materialize_test(calc_ws, artifact("assert True\n"))
+    assert victim.read_text() == "VICTIM = 1\n"
+    assert sorted(p.name for p in outside.iterdir()) == ["check.py"]
+
+
+@pytest.mark.parametrize("timeout_s", [float("inf"), float("nan"), 1e300])
+def test_run_command_refuses_a_timeout_no_timer_can_hold(tmp_path, timeout_s):
+    with pytest.raises(ValueError, match="timeout"):
+        testkit.run_command(tmp_path, ["touch", "ran"], timeout_s)
+    assert not (tmp_path / "ran").exists()
 
 
 def test_run_test_captures_exit_and_output(calc_ws):

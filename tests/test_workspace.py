@@ -198,6 +198,37 @@ def test_restore_turns_a_directory_back_into_a_file(calc_ws):
     assert oracles.tree_bytes(calc_ws.root) == before
 
 
+def test_restore_never_writes_through_a_file_link(calc_ws, tmp_path):
+    victim = tmp_path / "victim.txt"
+    victim.write_text("outside\n")
+    before = oracles.tree_bytes(calc_ws.root)
+    snap = take_snapshot(calc_ws, "base")
+    (calc_ws.root / "calc.py").unlink()
+    (calc_ws.root / "calc.py").symlink_to(victim)
+
+    restore_snapshot(calc_ws, snap)
+    assert victim.read_text() == "outside\n"
+    assert not (calc_ws.root / "calc.py").is_symlink()
+    assert oracles.tree_bytes(calc_ws.root) == before
+
+
+def test_restore_never_writes_through_a_directory_link(calc_ws, tmp_path):
+    outside = tmp_path / "outside"
+    outside.mkdir()
+    (calc_ws.root / "pkg").mkdir()
+    (calc_ws.root / "pkg" / "mod.py").write_text("MOD = 1\n")
+    before = oracles.tree_bytes(calc_ws.root)
+    snap = take_snapshot(calc_ws, "base")
+    (calc_ws.root / "pkg" / "mod.py").unlink()
+    (calc_ws.root / "pkg").rmdir()
+    (calc_ws.root / "pkg").symlink_to(outside, target_is_directory=True)
+
+    restore_snapshot(calc_ws, snap)
+    assert list(outside.iterdir()) == []
+    assert not (calc_ws.root / "pkg").is_symlink()
+    assert oracles.tree_bytes(calc_ws.root) == before
+
+
 def test_restore_rejects_foreign_snapshot(calc_repo, tmp_path):
     ws_a = open_workspace(str(calc_repo), "HEAD", "a", work_root=str(tmp_path))
     ws_b = open_workspace(str(calc_repo), "HEAD", "b", work_root=str(tmp_path))

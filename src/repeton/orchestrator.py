@@ -56,7 +56,6 @@ from .testkit import (
     TestVerdict,
     certify_failure,
     classify_result,
-    materialize_test,
     run_command,
     run_test,
 )
@@ -302,13 +301,10 @@ class _RunContext:
         return words[0] if words else ""
 
 
-def _react_turn(
-    run: _RunContext, vocabulary: tuple[str, ...], charge_machine: bool = False
-) -> ReactTurn | None:
+def _react_turn(run: _RunContext, vocabulary: tuple[str, ...]) -> ReactTurn | None:
     """Prompt, complete and parse; retry twice on unusable replies.
 
-    Returns None when every attempt was malformed. With
-    ``charge_machine`` the failure also burns a stage attempt.
+    Returns None when every attempt was malformed.
     """
     params = run.config.backend_params()
     for _ in range(REACT_RETRIES + 1):
@@ -325,8 +321,6 @@ def _react_turn(
                 f"args. Allowed actions: {', '.join(vocabulary)}.",
             )
     run.note("malformed-action-budget")
-    if charge_machine and run.machine is not None:
-        run.machine.note_failed_attempt()
     return None
 
 
@@ -351,7 +345,7 @@ def _propose_test(
         return "propose_test needs a non-empty command arg"
     try:
         return TestArtifact(
-            file_name=f".repeton_tests/{name}",
+            name=name,
             source_text=source,
             invocation=invocation,
             expected_signature=run.summary.expected_signature,
@@ -377,7 +371,6 @@ def establish_reproduction(run: _RunContext) -> bool:
             run.note(f"reproduction-attempt-{version}:rejected")
             request = f"{built}\n\n{TEST_REQUEST}"
             continue
-        materialize_test(run.ws, built)
         certified, verdicts = certify_failure(
             run.ws, built, run.config.test_timeout_s, judge=run.judge
         )
@@ -415,7 +408,6 @@ def _refine_test(run: _RunContext, report: DiagnosticReport) -> None:
         run.conv.append("user", built)
         return
 
-    materialize_test(run.ws, built)
     held = take_snapshot(run.ws, stage_label="pre-recertify")
     restore_snapshot(run.ws, run.base_snapshot)
     certified, _verdicts = certify_failure(
@@ -427,7 +419,6 @@ def _refine_test(run: _RunContext, report: DiagnosticReport) -> None:
         run.note("reproduction-recertified")
         run.conv.append("user", "Refined test certified; continuing.")
     else:
-        materialize_test(run.ws, run.artifact)  # put the old version back
         run.note("refinement-rejected")
         run.conv.append(
             "user",
@@ -563,9 +554,9 @@ def _drive_icsr_pass(run: _RunContext) -> None:
     observation = _INITIAL_OBSERVATION if at_start else _RESUMED_OBSERVATION
     while True:
         run.conv.append("user", _stage_message(run, observation))
-        turn = _react_turn(run, STAGE_VOCABULARY[run.machine.state.stage],
-                           charge_machine=True)
+        turn = _react_turn(run, STAGE_VOCABULARY[run.machine.state.stage])
         if turn is None:
+            run.machine.note_failed_attempt()
             observation = "Still no usable action; follow the format exactly."
             continue
         observation, finished = _dispatch(run, turn)
@@ -578,7 +569,7 @@ def _drive_icsr_pass(run: _RunContext) -> None:
 def _validate_patch(run: _RunContext) -> tuple[TestVerdict, DiagnosticReport | None]:
     result = run_test(run.ws, run.artifact, run.config.test_timeout_s)
     verdict, report = classify_result(
-        result, run.summary.expected_signature, judge=run.judge
+        result, run.artifact.expected_signature, judge=run.judge
     )
     run.note(f"verdict:{verdict.value}")
     return verdict, report

@@ -1,8 +1,11 @@
 """Reproduction test materialization, execution and classification.
 
-Harness-authored tests live under the reserved ``.repeton_tests/``
-directory inside the workspace, which snapshots and diffs never see, so
-a patch can never smuggle its own test along. ``run_command`` runs
+This module alone writes the reserved ``.repeton_tests/`` directory,
+which snapshots and diffs never see, so a patch can never smuggle its
+own test along. ``run_test`` re-creates it right before each run to
+hold only the test being run: what an earlier run left there, a link
+planted in its place or a test that rewrote itself never reaches the
+next run. ``run_command`` runs
 tests and bench validation commands alike: in their own session, with
 ``REPETON=1`` exported and only an allow-listed part of the harness
 environment, and output to unlinked temporary files of which only the
@@ -22,8 +25,8 @@ the judge raises reaches the caller unchanged.
 
 from __future__ import annotations
 
-import logging
 import os
+import shutil
 import signal
 import subprocess
 import tempfile
@@ -34,9 +37,7 @@ from enum import Enum
 from typing import BinaryIO, Callable, Sequence
 
 from .errors import IoFailure, SpawnFailure
-from .workspace import RESERVED_TEST_DIR, Workspace, confined_path
-
-logger = logging.getLogger(__name__)
+from .workspace import RESERVED_TEST_DIR, Workspace
 
 RUN_ENV_FLAG = "REPETON"
 # What agent-written code may inherit from the harness environment. The
@@ -63,25 +64,16 @@ class TestVerdict(Enum):
 class TestArtifact:
     """One versioned reproduction test."""
 
-    file_name: str
+    name: str
     source_text: str
     invocation: tuple[str, ...]
     expected_signature: str = ""
     version: int = 1
 
     def __post_init__(self) -> None:
-        # Raw segments, not PurePosixPath parts: the latter silently
-        # normalizes "." and doubled slashes away.
-        parts = self.file_name.split("/")
-        if (
-            len(parts) < 2
-            or parts[0] != RESERVED_TEST_DIR
-            or any(part in ("", "..", ".") for part in parts)
-            or "\\" in self.file_name
-        ):
-            raise ValueError(
-                f"test file must sit under {RESERVED_TEST_DIR}/: {self.file_name!r}"
-            )
+        # The file sits directly in the reserved directory: one plain name.
+        if self.name in ("", ".", "..") or any(c in self.name for c in "/\\\0"):
+            raise ValueError(f"test name must be a plain file name: {self.name!r}")
         if not self.invocation:
             raise ValueError("invocation must not be empty")
         if self.version < 1:
@@ -99,21 +91,26 @@ class ExecutionResult:
 
 @dataclass(frozen=True)
 class DiagnosticReport:
-    verdict: TestVerdict
     log_excerpt: str
     suggestion: str
 
 
-def materialize_test(ws: Workspace, artifact: TestArtifact) -> None:
-    """Write the test file into the reserved directory; ``PathEscape``
-    if a link planted there leads out of the clone."""
-    target = confined_path(ws, artifact.file_name)
+def _place_test(ws: Workspace, artifact: TestArtifact) -> None:
+    """Re-create the reserved directory holding only ``artifact``'s file.
+
+    Whatever sits at the directory's path is removed first, a link or a
+    file unlinked and a directory deleted with all it holds, so nothing
+    is read or written through a link."""
+    reserved = ws.root / RESERVED_TEST_DIR
     try:
-        target.parent.mkdir(parents=True, exist_ok=True)
-        target.write_text(artifact.source_text, encoding="utf-8")
+        if reserved.is_dir() and not reserved.is_symlink():
+            shutil.rmtree(reserved)
+        else:
+            reserved.unlink(missing_ok=True)
+        reserved.mkdir()
+        (reserved / artifact.name).write_text(artifact.source_text, encoding="utf-8")
     except OSError as exc:
-        raise IoFailure(f"cannot materialize {artifact.file_name}: {exc}") from exc
-    logger.info("materialized %s (version %d)", artifact.file_name, artifact.version)
+        raise IoFailure(f"cannot place test {artifact.name}: {exc}") from exc
 
 
 def scrubbed_env() -> dict[str, str]:
@@ -188,7 +185,9 @@ def run_command(
 def run_test(
     ws: Workspace, artifact: TestArtifact, timeout_s: float = DEFAULT_TIMEOUT_S
 ) -> ExecutionResult:
-    """Execute the test at the workspace root with bounded output."""
+    """Write the test into the reserved directory, then execute it at
+    the workspace root with bounded output."""
+    _place_test(ws, artifact)
     return run_command(ws.root, artifact.invocation, timeout_s)
 
 
@@ -240,9 +239,7 @@ def classify_result(
             if verdict is not TestVerdict.Inconclusive:
                 suggestion = f"judge classified the failure as {verdict.value}"
 
-    return verdict, DiagnosticReport(
-        verdict=verdict, log_excerpt=_excerpt(result), suggestion=suggestion
-    )
+    return verdict, DiagnosticReport(log_excerpt=_excerpt(result), suggestion=suggestion)
 
 
 def certify_failure(

@@ -45,9 +45,10 @@ from .errors import (
 
 logger = logging.getLogger(__name__)
 
-# Directory reserved for harness-authored reproduction tests. It is
-# invisible to snapshots and diffs so patches never contain test files
-# and rollbacks never revert them.
+# Directory reserved for the reproduction test. Only testkit writes it:
+# before each test run it re-creates it holding only the test being run.
+# It is invisible to snapshots and diffs so patches never contain test
+# files and rollbacks never revert them.
 RESERVED_TEST_DIR = ".repeton_tests"
 
 WORK_DIR_ENV = "REPETON_WORK_DIR"

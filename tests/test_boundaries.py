@@ -30,3 +30,17 @@ def test_no_module_imports_a_private_name_of_another():
         if (names := private_imports(path))
     }
     assert offenders == {}
+
+
+def test_only_workspace_and_testkit_know_the_reserved_test_dir():
+    # Workspace hides the directory from scans; testkit alone places the
+    # reproduction test in it.
+    knowing = sorted(
+        path.name
+        for path in SOURCE.glob("*.py")
+        if any(
+            token in path.read_text(encoding="utf-8")
+            for token in ("RESERVED_TEST_DIR", ".repeton_tests")
+        )
+    )
+    assert knowing == ["testkit.py", "workspace.py"]

@@ -21,7 +21,7 @@ from calcfix import (
     make_task,
     run_scenario,
 )
-from repeton import orchestrator
+from repeton import orchestrator, testkit
 from repeton.agentio import Message
 from repeton.errors import HttpFailure, IoFailure
 from repeton.workspace import DiffDocument, compute_diff, take_snapshot
@@ -479,6 +479,94 @@ def test_budget_end_reports_the_last_edit(calc_repo, work_root):
     assert "+ 2" not in report.final_diff.text
 
 
+def test_rejected_refinement_keeps_validating_with_the_previous_test(
+    calc_repo, work_root
+):
+    script = [
+        SUMMARY_REPLY,
+        calcfix._propose_test("test_add.py", TEST_SOURCE),
+        *calcfix._search_steps(),
+        action("half an edit", "edit_region",
+               start="5", end="5", replacement="    return a + b +"),
+        action("done", "done"),
+        calcfix._propose_test("test_add.py", "print('ok')\n"),
+        action("wrong constant", "edit_region",
+               start="5", end="5", replacement="    return a + b + 2"),
+        action("done", "done"),
+    ]
+    report = run_custom(calc_repo, work_root, script, max_irv_iterations=2)
+    assert report.outcome is RunOutcome.Unresolved
+    assert "refinement-rejected" in report.event_names
+    assert report.event_names[-3:] == [
+        "verdict:FailBugPresent",
+        "budget-exhausted:iterations",
+        "unresolved:last-patch-accepted",
+    ]
+
+
+# ---- hostile reproduction tests ----
+
+# Counts its runs where no scan looks, and on the second certification
+# run replaces itself with a script that always passes.
+SELF_REWRITING_TEST = """import os
+import sys
+
+sys.path.insert(0, os.getcwd())
+from calc import add
+
+runs_file = os.path.join(".git", "repro-runs")
+runs = int(open(runs_file).read()) if os.path.exists(runs_file) else 0
+with open(runs_file, "w") as out:
+    out.write(str(runs + 1))
+if runs == 1:
+    with open(__file__, "w") as me:
+        me.write("print('ok')\\n")
+value = add(2, 3)
+assert value == 5, f"add(2, 3) returned {value}"
+"""
+
+
+def test_a_test_that_rewrites_itself_cannot_pass_a_wrong_patch(calc_repo, work_root):
+    script = calcfix.unresolved_script()
+    script[1] = calcfix._propose_test("test_add.py", SELF_REWRITING_TEST)
+    report = run_custom(calc_repo, work_root, script, max_irv_iterations=1)
+    assert report.outcome is RunOutcome.Unresolved
+    assert report.event_names == GOLDEN_EVENTS["unresolved"]
+
+
+PLANTING_TEST = """import os
+import shutil
+import sys
+
+sys.path.insert(0, os.getcwd())
+from calc import add
+
+try:
+    value = add(2, 3)
+    assert value == 5, f"add(2, 3) returned {{value}}"
+finally:
+    shutil.rmtree(".repeton_tests")
+    {plant}
+"""
+
+
+@pytest.mark.parametrize(
+    "plant",
+    ['os.symlink(".", ".repeton_tests")', 'open(".repeton_tests", "w").close()'],
+    ids=["link-to-root", "plain-file"],
+)
+def test_a_test_that_replaces_the_reserved_dir_ships_no_test(
+    calc_repo, work_root, plant
+):
+    script = calcfix.resolved_script()
+    script[1] = calcfix._propose_test("test_add.py", PLANTING_TEST.format(plant=plant))
+    report = run_custom(calc_repo, work_root, script)
+    assert report.outcome is RunOutcome.Resolved
+    assert report.event_names == GOLDEN_EVENTS["resolved"]
+    golden = (FIXTURES / "calc_golden.patch").read_text()
+    assert report.final_diff.text == golden
+
+
 # ---- crashes ----
 
 def test_unopenable_repo_folds_into_unresolved(tmp_path):
@@ -506,6 +594,19 @@ def test_test_timeout_no_timer_can_hold_folds_into_unresolved(calc_repo, work_ro
     )
     assert report.outcome is RunOutcome.Unresolved
     assert report.event_names[-1] == "harness-error:ValueError"
+
+
+def test_unremovable_reserved_dir_folds_into_unresolved(
+    calc_repo, work_root, monkeypatch
+):
+    def refuse(path, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", str(path))
+
+    monkeypatch.setattr(testkit.shutil, "rmtree", refuse)
+    report = run_custom(calc_repo, work_root, calcfix.resolved_script())
+    assert report.outcome is RunOutcome.Unresolved
+    assert report.event_names[-1] == "harness-error:IoFailure"
+    assert "reproduction-certified" not in report.event_names
 
 
 def test_backend_crash_folds_into_unresolved(calc_repo, work_root):

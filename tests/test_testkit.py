@@ -11,22 +11,22 @@ import tracemalloc
 import pytest
 
 from repeton import testkit
-from repeton.errors import PathEscape, SpawnFailure
+from repeton.errors import SpawnFailure
 from repeton.testkit import (
     CERTIFICATION_RUNS,
     ExecutionResult,
     certify_failure,
     classify_result,
-    materialize_test,
     run_test,
 )
+from repeton.workspace import compute_diff, take_snapshot
 
 PY = sys.executable
 
 
 def artifact(source: str, name: str = "check.py", signature: str = "AssertionError"):
     return testkit.TestArtifact(
-        file_name=f".repeton_tests/{name}",
+        name=name,
         source_text=source,
         invocation=(PY, f".repeton_tests/{name}"),
         expected_signature=signature,
@@ -45,25 +45,30 @@ def result(exit_code=1, stdout="", stderr="", timed_out=False):
 
 
 def test_artifact_accepts_reserved_directory_paths():
-    art = artifact("assert True\n")
-    assert art.file_name == ".repeton_tests/check.py"
+    # Any plain name: testkit alone puts it under the reserved directory.
+    for name in ("check.py", ".repeton_tests", "..check.py", "test add.py"):
+        assert artifact("assert True\n", name=name).name == name
 
 
 @pytest.mark.parametrize(
     "bad_name",
     [
-        "check.py",
         "src/check.py",
         ".repeton_tests/../escape.py",
         ".repeton_tests/./x.py",
         ".repeton_tests\\win.py",
-        ".repeton_tests",
+        "sub/x.py",
+        "..",
+        ".",
+        "a\\b",
+        "x\0.py",
+        "",
     ],
 )
 def test_artifact_rejects_paths_outside_reserved_dir(bad_name):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="plain file name"):
         testkit.TestArtifact(
-            file_name=bad_name,
+            name=bad_name,
             source_text="assert True\n",
             invocation=(PY, bad_name),
             expected_signature="",
@@ -74,7 +79,7 @@ def test_artifact_rejects_paths_outside_reserved_dir(bad_name):
 def test_artifact_rejects_empty_invocation_and_bad_version():
     with pytest.raises(ValueError):
         testkit.TestArtifact(
-            file_name=".repeton_tests/x.py",
+            name="x.py",
             source_text="pass\n",
             invocation=(),
             expected_signature="",
@@ -82,7 +87,7 @@ def test_artifact_rejects_empty_invocation_and_bad_version():
         )
     with pytest.raises(ValueError):
         testkit.TestArtifact(
-            file_name=".repeton_tests/x.py",
+            name="x.py",
             source_text="pass\n",
             invocation=(PY, "x"),
             expected_signature="",
@@ -92,7 +97,7 @@ def test_artifact_rejects_empty_invocation_and_bad_version():
 
 def test_materialize_writes_under_workspace_root(calc_ws):
     art = artifact("assert True\n")
-    materialize_test(calc_ws, art)
+    assert run_test(calc_ws, art).exit_code == 0
     target = calc_ws.root / ".repeton_tests" / "check.py"
     assert target.read_text() == "assert True\n"
 
@@ -109,10 +114,41 @@ def test_materialize_never_writes_through_a_planted_link(calc_ws, tmp_path, plan
         (tests_dir / "check.py").symlink_to(victim)
     else:
         tests_dir.symlink_to(outside, target_is_directory=True)
-    with pytest.raises(PathEscape):
-        materialize_test(calc_ws, artifact("assert True\n"))
+    assert run_test(calc_ws, artifact("assert True\n")).exit_code == 0
     assert victim.read_text() == "VICTIM = 1\n"
     assert sorted(p.name for p in outside.iterdir()) == ["check.py"]
+    assert tests_dir.is_dir() and not tests_dir.is_symlink()
+    assert (tests_dir / "check.py").read_text() == "assert True\n"
+
+
+@pytest.mark.parametrize("planted", ["link-to-root", "plain-file"])
+def test_run_test_recreates_a_replaced_reserved_dir(calc_ws, planted):
+    base = take_snapshot(calc_ws, stage_label="base")
+    tests_dir = calc_ws.root / ".repeton_tests"
+    if planted == "link-to-root":
+        os.symlink(".", tests_dir)
+    else:
+        tests_dir.write_text("not a directory\n")
+    assert run_test(calc_ws, artifact("assert True\n")).exit_code == 0
+    assert tests_dir.is_dir() and not tests_dir.is_symlink()
+    assert not (calc_ws.root / "check.py").exists()
+    assert compute_diff(calc_ws, base).is_empty
+
+
+def test_nothing_a_run_leaves_in_the_reserved_dir_reaches_the_next(calc_ws):
+    art = artifact(
+        "import os\n"
+        "print(sorted(os.listdir('.repeton_tests')))\n"
+        "with open('.repeton_tests/count', 'a') as out:\n"
+        "    out.write('x')\n"
+        "os.mkdir('.repeton_tests/leftover')\n"
+        "with open(__file__, 'w') as me:\n"
+        "    me.write('raise SystemExit(5)\\n')\n"
+    )
+    for _ in range(2):
+        run = run_test(calc_ws, art)
+        assert run.exit_code == 0
+        assert run.stdout_tail == "['check.py']\n"
 
 
 @pytest.mark.parametrize("timeout_s", [float("inf"), float("nan"), 1e300])
@@ -124,7 +160,6 @@ def test_run_command_refuses_a_timeout_no_timer_can_hold(tmp_path, timeout_s):
 
 def test_run_test_captures_exit_and_output(calc_ws):
     art = artifact('import sys\nprint("out"); print("err", file=sys.stderr)\nsys.exit(3)\n')
-    materialize_test(calc_ws, art)
     run = run_test(calc_ws, art)
     assert run.exit_code == 3
     assert "out" in run.stdout_tail
@@ -138,7 +173,6 @@ def test_run_test_runs_from_workspace_root_with_flag_set(calc_ws):
         "assert os.environ.get('REPETON') == '1'\n"
         "assert os.path.exists('calc.py')\n"
     )
-    materialize_test(calc_ws, art)
     assert run_test(calc_ws, art).exit_code == 0
 
 
@@ -150,7 +184,6 @@ def test_run_test_hides_harness_secrets(calc_ws, monkeypatch):
         "print(os.environ.get('REPETON_API_KEY', 'no key'))\n"
         "print(os.environ.get('LC_ALL'))\n"
     )
-    materialize_test(calc_ws, art)
     run = run_test(calc_ws, art)
     assert run.exit_code == 0
     assert run.stdout_tail.split() == ["no", "key", "C.UTF-8"]
@@ -162,7 +195,6 @@ def test_run_test_kills_overrunning_process_group(calc_ws):
         "subprocess.Popen([sys.executable, '-c', 'import time; time.sleep(60)'])\n"
         "time.sleep(60)\n"
     )
-    materialize_test(calc_ws, art)
     run = run_test(calc_ws, art, timeout_s=0.5)
     assert run.timed_out
     assert run.duration_s < 10
@@ -170,7 +202,6 @@ def test_run_test_kills_overrunning_process_group(calc_ws):
 
 def test_run_test_caps_output_tails(calc_ws):
     art = artifact("print('x' * 100000)\n")
-    materialize_test(calc_ws, art)
     run = run_test(calc_ws, art)
     assert len(run.stdout_tail.encode()) <= testkit.OUTPUT_CAP_BYTES
     assert run.stdout_tail.endswith("x\n")
@@ -185,7 +216,6 @@ def test_descendant_holding_stdout_does_not_stall_a_passing_test(calc_ws):
         "                         start_new_session=True)\n"
         "print(child.pid, flush=True)\n"
     )
-    materialize_test(calc_ws, art)
     run = run_test(calc_ws, art, timeout_s=2)
     try:
         assert not run.timed_out
@@ -205,7 +235,6 @@ def test_passing_test_leaves_no_process_in_its_group(calc_ws, gone):
         "                           stderr=subprocess.DEVNULL)\n"
         "print(sleeper.pid, flush=True)\n"
     )
-    materialize_test(calc_ws, art)
     run = run_test(calc_ws, art, timeout_s=10)
     assert run.exit_code == 0 and not run.timed_out
     assert gone(int(run.stdout_tail.split()[0]))
@@ -219,7 +248,6 @@ def test_a_failing_wait_still_kills_and_reaps_the_child(calc_ws, monkeypatch, go
         "os.replace('pid.tmp', 'test.pid')\n"
         "time.sleep(30)\n"
     )
-    materialize_test(calc_ws, art)
     pid_file = calc_ws.root / "test.pid"
 
     def failing_wait(*_args):
@@ -237,7 +265,6 @@ def test_a_failing_wait_still_kills_and_reaps_the_child(calc_ws, monkeypatch, go
 def test_output_is_not_buffered_in_memory(calc_ws):
     size = 8 * 1024 * 1024
     art = artifact(f"import sys\nsys.stdout.write('x' * {size})\n")
-    materialize_test(calc_ws, art)
     tracemalloc.start()
     try:
         run = run_test(calc_ws, art)
@@ -251,13 +278,12 @@ def test_output_is_not_buffered_in_memory(calc_ws):
 
 def test_run_test_missing_interpreter_raises_spawn_failure(calc_ws):
     art = testkit.TestArtifact(
-        file_name=".repeton_tests/x.py",
+        name="x.py",
         source_text="pass\n",
         invocation=("/no/such/binary", "x"),
         expected_signature="",
         version=1,
     )
-    materialize_test(calc_ws, art)
     with pytest.raises(SpawnFailure):
         run_test(calc_ws, art)
 
@@ -368,7 +394,6 @@ def test_certify_requires_consecutive_bug_reproductions(calc_ws):
         "from calc import add\n"
         "assert add(2, 3) == 5\n"
     )
-    materialize_test(calc_ws, art)
     certified, verdicts = certify_failure(calc_ws, art)
     assert certified
     assert verdicts == [testkit.TestVerdict.FailBugPresent] * CERTIFICATION_RUNS
@@ -376,7 +401,6 @@ def test_certify_requires_consecutive_bug_reproductions(calc_ws):
 
 def test_certify_short_circuits_on_first_non_reproduction(calc_ws):
     art = artifact("print('all good')\n")
-    materialize_test(calc_ws, art)
     certified, verdicts = certify_failure(calc_ws, art)
     assert not certified
     assert verdicts == [testkit.TestVerdict.Pass]

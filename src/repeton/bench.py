@@ -20,6 +20,7 @@ from pathlib import Path
 from .agentio import Backend
 from .errors import DuplicateId, EmptyBatch, ParseError
 from .orchestrator import IrvConfig, RunOutcome, RunReport, run_irv
+from .workspace import check_plain_name
 
 _REQUIRED_KEYS = ("instance_id", "repo_location", "base_revision", "problem_statement")
 
@@ -35,9 +36,11 @@ class TaskInstance:
 
     def __post_init__(self) -> None:
         # The id names the task's clone and output files: one plain name.
-        name = self.instance_id
-        if name in ("", ".", "..") or any(c in name for c in "/\\\0"):
-            raise ValueError(f"instance_id must be a plain file name: {name!r}")
+        check_plain_name(self.instance_id, "instance_id")
+        # Both go to git as arguments, where a leading "-" reads as an option.
+        for key in ("repo_location", "base_revision"):
+            if getattr(self, key).startswith("-"):
+                raise ValueError(f"{key} must not start with '-': {getattr(self, key)!r}")
         if not isinstance(self.validation_command, (str, type(None))):
             raise ValueError("validation_command must be a string or null")
         limit = self.time_limit_s

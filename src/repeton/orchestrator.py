@@ -4,11 +4,14 @@ A run starts by summarizing the problem statement into a short pinned
 note, then tries to obtain a reproduction test that fails consistently
 on the unpatched tree. Only then does the staged repair machine get to
 work, one region edit per iteration, with the test re-run after every
-pass. A run ends when the test passes, when a budget runs out (the report
-then carries the last patch, unvalidated), or when the bug never
-reproduced in the first place. Every budget stops a run through one
-signal, ``BudgetExhausted``. A Resolved run then runs the task's
-validation command, whose failure downgrades it to Unresolved.
+pass. The test certified before the first edit is the run's only
+verifier: nothing proposes or certifies another, and every verdict but
+Pass, a timeout or a broken import included, goes back to the agent as
+feedback on its patch. A run ends when the test passes, when a budget
+runs out (the report then carries the last patch, unvalidated), or when
+the bug never reproduced in the first place. Every budget stops a run
+through one signal, ``BudgetExhausted``. A Resolved run then runs the
+task's validation command, whose failure downgrades it to Unresolved.
 
 No exception escapes ``run_irv``; every failure folds into the run
 report's outcome and event log, and a report is never changed after.
@@ -51,7 +54,6 @@ from .patcher import (
 )
 from .testkit import (
     DEFAULT_TIMEOUT_S,
-    DiagnosticReport,
     TestArtifact,
     TestVerdict,
     certify_failure,
@@ -65,7 +67,6 @@ from .workspace import (
     Workspace,
     compute_diff,
     open_workspace,
-    restore_snapshot,
     take_snapshot,
 )
 
@@ -349,7 +350,6 @@ def _propose_test(
             source_text=source,
             invocation=invocation,
             expected_signature=run.summary.expected_signature,
-            version=version,
         )
     except ValueError as exc:
         return f"rejected test artifact: {exc}"
@@ -359,7 +359,9 @@ def establish_reproduction(run: _RunContext) -> bool:
     """Try up to three test versions; True when one certifies.
 
     A certified test shows the bug, by signature or by the judge, on
-    two consecutive runs of the unpatched tree.
+    two consecutive runs of the unpatched tree. This runs once, before
+    the repair machine exists, and is the only place a test is proposed
+    or certified: the test it sets judges every patch of the run.
     """
     request = TEST_REQUEST
     for version in range(1, MAX_TEST_VERSIONS + 1):
@@ -391,40 +393,6 @@ def establish_reproduction(run: _RunContext) -> bool:
             f"{TEST_REQUEST}"
         )
     return False
-
-
-def _refine_test(run: _RunContext, report: DiagnosticReport) -> None:
-    """One mid-run test repair: propose, re-certify on the base tree."""
-    request = (
-        f"The reproduction test itself is broken (it no longer reports on "
-        f"the bug). Log:\n{_clip(report.log_excerpt)}\n\n{TEST_REQUEST}"
-    )
-    built = _propose_test(run, request, run.artifact.version + 1)
-    if built is None:
-        run.note("refinement-failed")
-        return
-    if isinstance(built, str):
-        run.note("refinement-rejected")
-        run.conv.append("user", built)
-        return
-
-    held = take_snapshot(run.ws, stage_label="pre-recertify")
-    restore_snapshot(run.ws, run.base_snapshot)
-    certified, _verdicts = certify_failure(
-        run.ws, built, run.config.test_timeout_s, judge=run.judge
-    )
-    restore_snapshot(run.ws, held)
-    if certified:
-        run.artifact = built
-        run.note("reproduction-recertified")
-        run.conv.append("user", "Refined test certified; continuing.")
-    else:
-        run.note("refinement-rejected")
-        run.conv.append(
-            "user",
-            "The refined test did not certify on the unpatched tree; "
-            "keeping the previous version.",
-        )
 
 
 # ---- the staged repair pass ----
@@ -564,16 +532,7 @@ def _drive_icsr_pass(run: _RunContext) -> None:
             return
 
 
-# ---- validation and the report ----
-
-def _validate_patch(run: _RunContext) -> tuple[TestVerdict, DiagnosticReport | None]:
-    result = run_test(run.ws, run.artifact, run.config.test_timeout_s)
-    verdict, report = classify_result(
-        result, run.artifact.expected_signature, judge=run.judge
-    )
-    run.note(f"verdict:{verdict.value}")
-    return verdict, report
-
+# ---- the validation command and the report ----
 
 def _validation_passes(run: _RunContext) -> bool:
     """Whether the validation command exits 0 in time; unrunnable fails."""
@@ -677,17 +636,18 @@ def run_irv(task: "TaskInstance", config: IrvConfig, backend: Backend) -> RunRep
             run.iterations_used = iteration
             run.note(f"iteration-{iteration}")
             _drive_icsr_pass(run)
-            verdict, report = _validate_patch(run)
+            result = run_test(run.ws, run.artifact, config.test_timeout_s)
+            verdict, report = classify_result(
+                result, run.artifact.expected_signature, judge=run.judge
+            )
+            run.note(f"verdict:{verdict.value}")
             if verdict is TestVerdict.Pass:
                 return _report(run, passed=True)
-            if verdict is TestVerdict.FailInvalidTest:
-                _refine_test(run, report)
-            elif report is not None:
-                run.conv.append(
-                    "user",
-                    f"Patch validation failed ({verdict.value}). "
-                    f"{report.suggestion}\nLog:\n{_clip(report.log_excerpt)}",
-                )
+            run.conv.append(
+                "user",
+                f"Patch validation failed ({verdict.value}). "
+                f"{report.suggestion}\nLog:\n{_clip(report.log_excerpt)}",
+            )
 
         run.note("budget-exhausted:iterations")
     except BudgetExhausted as spent:

@@ -20,7 +20,10 @@ callback breaks ties for logs the rules cannot read, and may never
 declare a test passing. ``classify_result`` alone maps the judge's
 labels, and one judge serves both the certification of a reproduction
 test (``certify_failure``) and the validation of each patch. Whatever
-the judge raises reaches the caller unchanged.
+the judge raises reaches the caller unchanged. A test is certified once
+per run, on the untouched base tree, and is never replaced after, so a
+failing validation can only come from the patched tree: the suggestions
+that travel with a verdict speak to the patch, not to the test.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from enum import Enum
 from typing import BinaryIO, Callable, Sequence
 
 from .errors import IoFailure, SpawnFailure
-from .workspace import RESERVED_TEST_DIR, Workspace
+from .workspace import RESERVED_TEST_DIR, Workspace, check_plain_name
 
 RUN_ENV_FLAG = "REPETON"
 # What agent-written code may inherit from the harness environment. The
@@ -62,22 +65,18 @@ class TestVerdict(Enum):
 
 @dataclass(frozen=True)
 class TestArtifact:
-    """One versioned reproduction test."""
+    """One reproduction test."""
 
     name: str
     source_text: str
     invocation: tuple[str, ...]
     expected_signature: str = ""
-    version: int = 1
 
     def __post_init__(self) -> None:
         # The file sits directly in the reserved directory: one plain name.
-        if self.name in ("", ".", "..") or any(c in self.name for c in "/\\\0"):
-            raise ValueError(f"test name must be a plain file name: {self.name!r}")
+        check_plain_name(self.name, "test name")
         if not self.invocation:
             raise ValueError("invocation must not be empty")
-        if self.version < 1:
-            raise ValueError(f"version must be >= 1, got {self.version}")
 
 
 @dataclass(frozen=True)
@@ -221,12 +220,13 @@ def classify_result(
 
     if result.timed_out:
         verdict = TestVerdict.FailInvalidTest
-        suggestion = "test timed out; make it terminate quickly"
+        suggestion = "test timed out on the patched tree; make the patched code terminate"
     elif RESERVED_TEST_DIR in result.stderr_tail and any(
         marker in result.stderr_tail for marker in INVALID_MARKERS
     ):
         verdict = TestVerdict.FailInvalidTest
-        suggestion = "test failed during import or collection; fix the test file"
+        suggestion = ("test failed during import or collection on the patched tree; "
+                      "fix the patched code it imports")
     elif expected_signature and expected_signature in result.stderr_tail:
         verdict = TestVerdict.FailBugPresent
         suggestion = "failure signature matched; the bug is reproduced"

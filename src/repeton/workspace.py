@@ -224,6 +224,12 @@ def tracked_files(ws: Workspace) -> list[str]:
     return [rel for rel, _ in _walk(ws)]
 
 
+def check_plain_name(name: str, what: str) -> None:
+    """Refuse a ``name`` that could lead out of the directory it names a file in."""
+    if name in ("", ".", "..") or any(c in name for c in "/\\\0"):
+        raise ValueError(f"{what} must be a plain file name: {name!r}")
+
+
 def confined_path(ws: Workspace, rel: str) -> Path:
     """Where ``rel`` leads inside the clone, with every symlink resolved.
 

@@ -106,6 +106,21 @@ def test_load_tasks_rejects_ids_that_are_not_plain_names(tmp_path, instance_id):
 
 
 @pytest.mark.parametrize(
+    ("field", "value"),
+    [
+        ("base_revision", "--orphan=evil"),
+        ("base_revision", "-q"),
+        ("repo_location", "--upload-pack=touch pwned;://x"),
+        ("repo_location", "-"),
+    ],
+)
+def test_load_tasks_refuses_input_git_would_read_as_an_option(tmp_path, field, value):
+    path = write_tasks(tmp_path, [task_row("a-1"), task_row("a-2", **{field: value})])
+    with pytest.raises(ParseError, match=rf":2: {field} must not start with '-'"):
+        load_tasks(path)
+
+
+@pytest.mark.parametrize(
     ("extra", "field"),
     [
         ({"time_limit": "0.5"}, "time_limit"),

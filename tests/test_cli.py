@@ -68,6 +68,20 @@ def test_live_backend_without_endpoint_is_a_usage_error(
     assert "REPETON_BASE_URL" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    ("flag", "field"), [("--rev", "base_revision"), ("--repo", "repo_location")]
+)
+def test_option_like_repo_or_revision_is_a_usage_error(
+    tmp_path, calc_repo, capsys, flag, field
+):
+    argv = run_args(tmp_path, calc_repo, "resolved.jsonl")
+    at = argv.index(flag)
+    argv[at:at + 2] = [f"{flag}=-q"]
+    assert cli.route(argv) == 2
+    assert f"usage error: {field} must not start with '-'" in capsys.readouterr().err
+    assert not (tmp_path / "work").exists()
+
+
 def test_record_refuses_the_replay_backend(tmp_path, calc_repo, capsys):
     argv = run_args(tmp_path, calc_repo, "resolved.jsonl")
     argv[0] = "record"

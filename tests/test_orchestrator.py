@@ -406,38 +406,113 @@ def test_failing_judge_ends_the_run_with_its_own_error(calc_repo, work_root):
     assert "judge-unavailable" not in report.event_names
 
 
-def test_broken_test_is_refined_and_recertified(calc_repo, work_root):
-    script = [
+def record_test_runs(monkeypatch) -> list[testkit.TestArtifact]:
+    """Every test artifact run from now on, certification runs included."""
+    ran: list[testkit.TestArtifact] = []
+    real = testkit.run_test
+
+    def recording(ws, artifact, *args, **kwargs):
+        ran.append(artifact)
+        return real(ws, artifact, *args, **kwargs)
+
+    monkeypatch.setattr(testkit, "run_test", recording)
+    monkeypatch.setattr(orchestrator, "run_test", recording)
+    return ran
+
+
+def second_pass_script(first_edit: str, *second_pass: str) -> list[str]:
+    """A first pass ending at ``first_edit``, then the ``second_pass``
+    replies; each pass ends at done."""
+    return [
         SUMMARY_REPLY,
         calcfix._propose_test("test_add.py", TEST_SOURCE),
         *calcfix._search_steps(),
-        action("half an edit", "edit_region",
-               start="5", end="5", replacement="    return a + b +"),
+        action("first edit", "edit_region", start="5", end="5", replacement=first_edit),
         action("done", "done"),
-        calcfix._propose_test("test_add_v2.py", TEST_SOURCE),
-        action("complete the expression", "edit_region",
-               start="5", end="5", replacement="    return a + b"),
+        *second_pass,
         action("done", "done"),
     ]
+
+
+def fix_edit(replacement: str = "    return a + b") -> str:
+    return action("second edit", "edit_region", start="5", end="5", replacement=replacement)
+
+
+def test_a_patch_that_breaks_the_test_import_gets_another_pass(
+    calc_repo, work_root, monkeypatch
+):
+    ran = record_test_runs(monkeypatch)
+    script = second_pass_script("    return a + b +", fix_edit())
     report = run_custom(calc_repo, work_root, script, max_irv_iterations=2)
     assert report.outcome is RunOutcome.Resolved
-    assert "verdict:FailInvalidTest" in report.event_names
-    assert "reproduction-recertified" in report.event_names
-    assert report.iterations_used == 2
+    assert report.event_names == [
+        "workspace-opened", "summary-pinned", "reproduction-certified",
+        "iteration-1", "edit-applied", "verdict:FailInvalidTest",
+        "iteration-2", "edit-applied", "verdict:Pass", "resolved",
+    ]
+    assert report.llm_calls_used == 10
+    assert len(ran) == 4
     golden = (FIXTURES / "calc_golden.patch").read_text()
     assert report.final_diff.text == golden
 
 
+def test_a_patch_that_hangs_the_test_gets_another_pass(calc_repo, work_root):
+    backend = PromptLog(second_pass_script("    while True: pass", fix_edit()))
+    config = replace(
+        IrvConfig(work_root=str(work_root)), max_irv_iterations=2, test_timeout_s=2.0
+    )
+    report = run_irv(make_task("calc-custom", calc_repo), config, backend)
+    assert report.outcome is RunOutcome.Resolved
+    assert "verdict:FailInvalidTest" in report.event_names
+    feedback = [m for m in backend.prompts[-1] if m.startswith("Patch validation failed")]
+    assert len(feedback) == 1
+    assert feedback[0].startswith("Patch validation failed (FailInvalidTest)")
+    assert "timed out on the patched tree" in feedback[0]
+    golden = (FIXTURES / "calc_golden.patch").read_text()
+    assert report.final_diff.text == golden
+
+
+# Certifies on the base tree, where add(2, 3) is 6, and passes any
+# patch that changes that sum, wrong ones included.
+SWAPPED_TEST = """import os
+import sys
+
+sys.path.insert(0, os.getcwd())
+from calc import add
+
+assert add(2, 3) != 6
+"""
+
+
+def test_no_test_proposed_mid_run_can_pass_a_wrong_patch(calc_repo, work_root):
+    script = second_pass_script(
+        "    return a + b +",
+        calcfix._propose_test("test_add_v2.py", SWAPPED_TEST),
+        fix_edit("    return a + b + 2"),
+    )
+    report = run_custom(calc_repo, work_root, script, max_irv_iterations=2)
+    assert report.outcome is RunOutcome.Unresolved
+    assert "+    return a + b + 2" in report.final_diff.text
+    assert report.event_names[-3:] == [
+        "verdict:FailBugPresent",
+        "budget-exhausted:iterations",
+        "unresolved:last-patch-accepted",
+    ]
+
+
 class PromptLog(ScriptedSession):
-    """Scripted session, and its own backend, that keeps the last
-    message of every prompt."""
+    """Scripted session, and its own backend, that keeps every prompt."""
 
     def __init__(self, responses: list[str]) -> None:
         super().__init__(responses)
-        self.last_messages: list[str] = []
+        self.prompts: list[list[str]] = []
+
+    @property
+    def last_messages(self) -> list[str]:
+        return [prompt[-1] for prompt in self.prompts]
 
     def complete(self, messages, params) -> str:
-        self.last_messages.append(messages[-1].content)
+        self.prompts.append([m.content for m in messages])
         return super().complete(messages, params)
 
     def session(self) -> PromptLog:
@@ -479,24 +554,20 @@ def test_budget_end_reports_the_last_edit(calc_repo, work_root):
     assert "+ 2" not in report.final_diff.text
 
 
-def test_rejected_refinement_keeps_validating_with_the_previous_test(
-    calc_repo, work_root
-):
-    script = [
-        SUMMARY_REPLY,
-        calcfix._propose_test("test_add.py", TEST_SOURCE),
-        *calcfix._search_steps(),
-        action("half an edit", "edit_region",
-               start="5", end="5", replacement="    return a + b +"),
-        action("done", "done"),
+def test_the_certified_test_judges_every_patch(calc_repo, work_root, monkeypatch):
+    ran = record_test_runs(monkeypatch)
+    backend = PromptLog(second_pass_script(
+        "    return a + b +",
         calcfix._propose_test("test_add.py", "print('ok')\n"),
-        action("wrong constant", "edit_region",
-               start="5", end="5", replacement="    return a + b + 2"),
-        action("done", "done"),
-    ]
-    report = run_custom(calc_repo, work_root, script, max_irv_iterations=2)
+        fix_edit("    return a + b + 2"),
+    ))
+    config = replace(IrvConfig(work_root=str(work_root)), max_irv_iterations=2)
+    report = run_irv(make_task("calc-custom", calc_repo), config, backend)
+    rejected = [m for m in backend.last_messages if m.startswith("Rejected:")]
+    assert len(rejected) == 1
+    assert "action 'propose_test' not in vocabulary" in rejected[0]
+    assert [a.source_text for a in ran] == [TEST_SOURCE] * 4
     assert report.outcome is RunOutcome.Unresolved
-    assert "refinement-rejected" in report.event_names
     assert report.event_names[-3:] == [
         "verdict:FailBugPresent",
         "budget-exhausted:iterations",

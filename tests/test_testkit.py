@@ -30,7 +30,6 @@ def artifact(source: str, name: str = "check.py", signature: str = "AssertionErr
         source_text=source,
         invocation=(PY, f".repeton_tests/{name}"),
         expected_signature=signature,
-        version=1,
     )
 
 
@@ -72,26 +71,16 @@ def test_artifact_rejects_paths_outside_reserved_dir(bad_name):
             source_text="assert True\n",
             invocation=(PY, bad_name),
             expected_signature="",
-            version=1,
         )
 
 
-def test_artifact_rejects_empty_invocation_and_bad_version():
+def test_artifact_rejects_empty_invocation():
     with pytest.raises(ValueError):
         testkit.TestArtifact(
             name="x.py",
             source_text="pass\n",
             invocation=(),
             expected_signature="",
-            version=1,
-        )
-    with pytest.raises(ValueError):
-        testkit.TestArtifact(
-            name="x.py",
-            source_text="pass\n",
-            invocation=(PY, "x"),
-            expected_signature="",
-            version=0,
         )
 
 
@@ -282,7 +271,6 @@ def test_run_test_missing_interpreter_raises_spawn_failure(calc_ws):
         source_text="pass\n",
         invocation=("/no/such/binary", "x"),
         expected_signature="",
-        version=1,
     )
     with pytest.raises(SpawnFailure):
         run_test(calc_ws, art)

@@ -6,6 +6,19 @@ the whole file. It tracks just enough lexical state (strings, brackets,
 backslash continuations, decorators) to agree with a syntax-tree dump
 on conventionally formatted code.
 
+The line scanner jumps from lexeme to lexeme with one regex search or
+``str.find`` per step, so a line with no quote, bracket, backslash or
+``#`` costs one search. It keeps these quirks on purpose, and a
+character-by-character reference in the tests pins them:
+
+- a string prefix is at most the three letters before the quote, and
+  it makes a string raw only on the line that opens it, so on later
+  lines of a raw triple-quoted string a backslash still escapes;
+- the bracket depth never falls below 0, one closer at a time;
+- a backslash continues the statement only as the last character of
+  the line outside a string;
+- an unterminated one-line string closes at the end of its line.
+
 Spans are 1-based and inclusive. A definition's span starts at its
 first decorator and ends at the last code line of its body; trailing
 blank and comment-only lines belong to the enclosing scope.
@@ -23,6 +36,12 @@ TAB_COLUMNS = 8
 
 _INTRODUCER = re.compile(r"^(async\s+def|def|class)\s+([A-Za-z_]\w*)")
 _STRING_PREFIX = re.compile(r"[A-Za-z]{0,3}$")
+# Outside strings, the only characters that change the scanner's state.
+_CODE_LEXEME = re.compile(r"""[#"'()\[\]{}\\]""")
+# Inside a string: the next escape or the closing delimiter.
+_STRING_STOP = {
+    delim: re.compile(r"\\|" + delim) for delim in ('"', "'", '"""', "'''")
+}
 
 
 @dataclass(frozen=True)
@@ -66,53 +85,50 @@ class _LineScanner:
             or self.continuation
         )
         self.continuation = False
+        delim = self.string_delim  # the string the scan is inside, if any
+        raw = False  # only a string opened on this line can be raw
         i = 0
         n = len(line)
-        in_single: str | None = None  # one-line string delimiter
-        raw = False
         while i < n:
-            ch = line[i]
-            if self.string_delim is not None:
-                if not raw and ch == "\\":
-                    i += 2
-                    continue
-                if line.startswith(self.string_delim, i):
-                    i += len(self.string_delim)
-                    self.string_delim = None
-                    raw = False
-                    continue
-                i += 1
+            if delim is not None:
+                if raw:
+                    j = line.find(delim, i)
+                    if j < 0:
+                        break
+                else:
+                    stop = _STRING_STOP[delim].search(line, i)
+                    if stop is None:
+                        break
+                    j = stop.start()
+                    if line[j] == "\\":
+                        i = j + 2
+                        continue
+                i = j + len(delim)
+                delim = None
                 continue
-            if in_single is not None:
-                if not raw and ch == "\\":
-                    i += 2
-                    continue
-                if ch == in_single:
-                    in_single = None
-                    raw = False
-                i += 1
-                continue
+            lexeme = _CODE_LEXEME.search(line, i)
+            if lexeme is None:
+                break
+            j = lexeme.start()
+            ch = line[j]
+            i = j + 1
             if ch == "#":
                 break
             if ch in "\"'":
-                prefix = _STRING_PREFIX.search(line[:i]).group(0)
+                prefix = _STRING_PREFIX.search(line[max(0, j - 3):j]).group(0)
                 raw = "r" in prefix.lower()
-                if line.startswith(ch * 3, i):
-                    self.string_delim = ch * 3
-                    i += 3
-                else:
-                    in_single = ch
-                    i += 1
-                continue
-            if ch in "([{":
+                delim = ch * 3 if line.startswith(ch * 3, j) else ch
+                i = j + len(delim)
+            elif ch in "([{":
                 self.bracket_depth += 1
             elif ch in ")]}":
                 self.bracket_depth = max(0, self.bracket_depth - 1)
-            elif ch == "\\" and i == n - 1:
+            elif i == n:  # a backslash as the line's last character
                 self.continuation = True
-            i += 1
-        # An unterminated one-line string is a syntax error; assume it
-        # closed so one bad line cannot poison the rest of the file.
+        # Only a triple-quoted string carries over. An unterminated
+        # one-line string is a syntax error; assume it closed so one bad
+        # line cannot poison the rest of the file.
+        self.string_delim = delim if delim is not None and len(delim) == 3 else None
         return starts_inside
 
 

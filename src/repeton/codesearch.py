@@ -84,14 +84,17 @@ def match_files(ws: Workspace, query: KeywordQuery) -> MatchSet:
         lowered_path = rel.lower()
         path_hits = sum(1 for kw in query.normalized if kw in lowered_path)
 
-        content_hits = 0
-        full = ws.root / rel
-        if full.stat().st_size <= CONTENT_SCAN_CAP:
-            try:
-                text = full.read_bytes().decode("utf-8", errors="replace").lower()
-            except OSError:
-                text = ""
-            content_hits = sum(1 for kw in query.normalized if kw in text)
+        try:
+            with open(ws.root / rel, "rb") as handle:
+                # One byte past the cap tells an oversized file apart.
+                data = handle.read(CONTENT_SCAN_CAP + 1)
+        except OSError:
+            data = b""
+        content_hits = (
+            _content_hits(data, query.normalized)
+            if len(data) <= CONTENT_SCAN_CAP
+            else 0
+        )
 
         score = PATH_WEIGHT * path_hits + content_hits
         if score > 0:
@@ -111,6 +114,17 @@ def match_files(ws: Workspace, query: KeywordQuery) -> MatchSet:
         limit=MATCH_LIMIT,
         truncated=len(scored) > MATCH_LIMIT,
     )
+
+
+def _content_hits(data: bytes, keywords: tuple[str, ...]) -> int:
+    """How many of the lowercase ``keywords`` occur in ``data`` once it
+    is lowercased."""
+    if data.isascii():
+        # ASCII lowercases the same as bytes and as text.
+        lowered = data.lower()
+        return sum(1 for kw in keywords if kw.encode() in lowered)
+    text = data.decode("utf-8", errors="replace").lower()
+    return sum(1 for kw in keywords if kw in text)
 
 
 def render_match_tree(match_set: MatchSet, root_name: str) -> MatchTree:

@@ -1,8 +1,9 @@
 """Independent oracles the tests compare library output against.
 
 Nothing here may import from the modules under test beyond plain data
-types. The outline oracle rides on the stdlib ast module, the search
-oracle is a brute-force rescan, and the patch oracles shell out to the
+types. The outline oracle rides on the stdlib ast module, the line
+scanner oracle steps one character at a time, the search oracle is a
+brute-force rescan, and the patch oracles shell out to the
 system diff and patch utilities.
 """
 
@@ -10,9 +11,12 @@ from __future__ import annotations
 
 import ast
 import os
+import re
 import shutil
 import subprocess
 from pathlib import Path
+
+_STRING_PREFIX = re.compile(r"[A-Za-z]{0,3}$")
 
 
 def ast_outline(text: str) -> list[tuple[str, str, int, int]]:
@@ -56,6 +60,77 @@ def ast_outline(text: str) -> list[tuple[str, str, int, int]]:
 
     visit(module, "", False)
     return rows
+
+
+class CharLineScanner:
+    """Classify physical lines while tracking cross-line lexical state.
+
+    Steps one character at a time: the reference that ``codemap``'s
+    lexeme-skipping scanner must agree with after every line.
+    """
+
+    def __init__(self) -> None:
+        self.string_delim: str | None = None  # open triple-quote delimiter
+        self.bracket_depth = 0
+        self.continuation = False
+
+    def feed(self, line: str) -> bool:
+        """Process one line; return True if it starts inside a statement
+        begun on an earlier line (string body, open brackets, backslash)."""
+        starts_inside = (
+            self.string_delim is not None
+            or self.bracket_depth > 0
+            or self.continuation
+        )
+        self.continuation = False
+        i = 0
+        n = len(line)
+        in_single: str | None = None  # one-line string delimiter
+        raw = False
+        while i < n:
+            ch = line[i]
+            if self.string_delim is not None:
+                if not raw and ch == "\\":
+                    i += 2
+                    continue
+                if line.startswith(self.string_delim, i):
+                    i += len(self.string_delim)
+                    self.string_delim = None
+                    raw = False
+                    continue
+                i += 1
+                continue
+            if in_single is not None:
+                if not raw and ch == "\\":
+                    i += 2
+                    continue
+                if ch == in_single:
+                    in_single = None
+                    raw = False
+                i += 1
+                continue
+            if ch == "#":
+                break
+            if ch in "\"'":
+                prefix = _STRING_PREFIX.search(line[:i]).group(0)
+                raw = "r" in prefix.lower()
+                if line.startswith(ch * 3, i):
+                    self.string_delim = ch * 3
+                    i += 3
+                else:
+                    in_single = ch
+                    i += 1
+                continue
+            if ch in "([{":
+                self.bracket_depth += 1
+            elif ch in ")]}":
+                self.bracket_depth = max(0, self.bracket_depth - 1)
+            elif ch == "\\" and i == n - 1:
+                self.continuation = True
+            i += 1
+        # An unterminated one-line string is a syntax error; assume it
+        # closed so one bad line cannot poison the rest of the file.
+        return starts_inside
 
 
 def brute_search_scores(

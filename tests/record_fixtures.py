@@ -18,7 +18,8 @@ import sys
 import tempfile
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent))
+_TESTS = Path(__file__).resolve().parent
+sys.path[:0] = [str(_TESTS), str(_TESTS.parent / "src")]
 
 import calcfix
 from repeton.agentio import ReplayBackend

@@ -3,10 +3,14 @@
 from __future__ import annotations
 
 import textwrap
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, seed, settings
+from hypothesis import strategies as st
 
 import oracles
+from repeton import codemap
 from repeton.codemap import (
     outline_file,
     parse_outline,
@@ -213,6 +217,55 @@ def test_crafted_samples_match_ast_oracle(sample):
         for s in parse_outline(sample).symbols
     ]
     assert got == oracles.ast_outline(sample)
+
+
+# What moves the scanner's state: quotes with and without string
+# prefixes (the letters before a quote count only up to three),
+# brackets, backslashes and comments, with plain code between them.
+SCANNER_FRAGMENTS = [
+    '"', "'", '"""', "'''", 'r"', "R'", 'rb"""', "Br'''", 'xyr"', 'rxyz"',
+    "(", ")", "[", "]", "{", "}", "\\", '\\"', "\\'", "#", " ", "x",
+]
+
+
+def _scanner_state(scanner, line: str) -> tuple:
+    starts_inside = scanner.feed(line)
+    return (
+        starts_inside,
+        scanner.string_delim,
+        scanner.bracket_depth,
+        scanner.continuation,
+    )
+
+
+@seed(16)
+@settings(max_examples=500, deadline=None)
+@example(lines=['r"""', '\\"""(']).via("raw lasts only for its own line")
+@example(lines=[")(", "x"]).via("the depth is clamped at 0 on each closer")
+@example(lines=["a \\ b", '"\\']).via("only a last backslash continues")
+@example(lines=['"abc', "("]).via("a one-line string closes at line end")
+@example(lines=['rxyz"\\"(']).via("a prefix is at most three letters")
+@given(
+    lines=st.lists(
+        st.lists(st.sampled_from(SCANNER_FRAGMENTS), max_size=12).map("".join),
+        min_size=1,
+        max_size=8,
+    )
+)
+def test_scanner_agrees_with_character_reference(lines):
+    fast = codemap._LineScanner()
+    reference = oracles.CharLineScanner()
+    for line in lines:
+        assert _scanner_state(fast, line) == _scanner_state(reference, line), line
+
+
+def test_outlines_of_package_sources_match_character_reference(monkeypatch):
+    sources = sorted(Path(codemap.__file__).parent.glob("*.py"))
+    assert len(sources) > 5
+    texts = [path.read_text(encoding="utf-8") for path in sources]
+    fast = [parse_outline(text) for text in texts]
+    monkeypatch.setattr(codemap, "_LineScanner", oracles.CharLineScanner)
+    assert [parse_outline(text) for text in texts] == fast
 
 
 def test_outline_file_reads_from_workspace(calc_ws):

@@ -119,6 +119,32 @@ def test_oversized_files_score_path_only(tmp_path):
     assert entry.score == 3
 
 
+@pytest.mark.parametrize(
+    "size, content_hits", [(CONTENT_SCAN_CAP, 1), (CONTENT_SCAN_CAP + 1, 0)]
+)
+def test_content_scan_cap_is_inclusive(tmp_path, size, content_hits):
+    text = "needle\n"
+    _seed(tmp_path, "needle_edge.py", text + "#" * (size - len(text)))
+    assert (tmp_path / "needle_edge.py").stat().st_size == size
+    matches = match_files(_ad_hoc_ws(tmp_path), make_query(["needle"]))
+    entry = matches.entries[0]
+    assert (entry.path_hits, entry.content_hits) == (1, content_hits)
+
+
+def test_non_ascii_content_lowercases_as_text(tmp_path):
+    # KELVIN SIGN lowercases to ASCII "k" as text, but not as bytes.
+    _seed(tmp_path, "units.py", "\u212aELVIN = 273\n")
+    _seed(tmp_path, "plain.py", "KELVIN = 273\n")
+    matches = match_files(_ad_hoc_ws(tmp_path), make_query(["kelvin"]))
+    assert {e.path: e.content_hits for e in matches.entries} == {
+        "plain.py": 1,
+        "units.py": 1,
+    }
+    assert {e.path: e.score for e in matches.entries} == (
+        oracles.brute_search_scores(tmp_path, ["kelvin"])
+    )
+
+
 def test_scores_match_brute_force_rescan(tmp_path):
     _seed(tmp_path, "modeling/separable.py", "matrix separability\n")
     _seed(tmp_path, "modeling/core.py", "def transform():\n    pass\n")

@@ -54,6 +54,31 @@ def test_open_workspace_resolves_named_revision(calc_repo, tmp_path):
     assert (ws.root / "calc.py").exists()
 
 
+def test_open_workspace_at_an_older_revision(tmp_path):
+    repo = tmp_path / "two-commits"
+    repo.mkdir()
+
+    def git(where, *args: str) -> str:
+        command = ["git", "-C", str(where), "-c", "user.email=dev@example.com"]
+        command += ["-c", "user.name=dev", *args]
+        return subprocess.run(
+            command, check=True, capture_output=True, text=True
+        ).stdout
+
+    git(repo, "init", "-q")
+    (repo / "old.py").write_text("OLD = 1\n")
+    git(repo, "add", ".")
+    git(repo, "commit", "-qm", "first")
+    (repo / "new.py").write_text("NEW = 2\n")
+    git(repo, "add", ".")
+    git(repo, "commit", "-qm", "second")
+
+    ws = open_workspace(str(repo), "HEAD~1", "older", work_root=str(tmp_path))
+    assert tracked_files(ws) == ["old.py"]
+    assert not (ws.root / "new.py").exists()
+    assert git(ws.root, "status", "--porcelain") == ""
+
+
 def test_open_workspace_missing_location(tmp_path):
     with pytest.raises(LocationUnavailable):
         open_workspace(
@@ -499,11 +524,25 @@ def test_one_file_change_reads_only_that_file_and_its_blob(calc_ws, monkeypatch)
     diff = compute_diff(calc_ws, snap)
     assert diff.files_touched == 1
     assert "+CHANGED = True" in diff.text
-    assert {path for path, span in reads if span is None} == {
+    assert [path for path, span in reads if span is None] == [
         str(calc_ws.root / "util.py")
-    }
+    ]
     assert [(path, span) for path, span in reads if span is not None] == [
         (str(_pack(calc_ws)), calc_ws._parked[snap.digest_map["util.py"]])
+    ]
+
+
+def test_settled_change_is_read_once_per_diff(calc_ws, monkeypatch):
+    snap = take_snapshot(calc_ws, "base")
+    (calc_ws.root / "util.py").write_text("CHANGED = True\n")
+    _let_clock_pass(calc_ws)
+    first = compute_diff(calc_ws, snap)
+    reads = _record_reads(monkeypatch)
+    # The stat cache now holds the changed digest, so the scan reads
+    # nothing and the diff reads the file for its text.
+    assert compute_diff(calc_ws, snap).text == first.text
+    assert [path for path, span in reads if span is None] == [
+        str(calc_ws.root / "util.py")
     ]
 
 

@@ -9,6 +9,7 @@ agent sees repository structure instead of a flat list.
 from __future__ import annotations
 
 import logging
+import os
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -84,17 +85,17 @@ def match_files(ws: Workspace, query: KeywordQuery) -> MatchSet:
         lowered_path = rel.lower()
         path_hits = sum(1 for kw in query.normalized if kw in lowered_path)
 
+        content_hits = 0
         try:
-            with open(ws.root / rel, "rb") as handle:
-                # One byte past the cap tells an oversized file apart.
-                data = handle.read(CONTENT_SCAN_CAP + 1)
+            # One open per file: the size comes from the open handle, and
+            # the read asks for exactly that many bytes.
+            with open(ws.root / rel, "rb", buffering=0) as handle:
+                size = os.fstat(handle.fileno()).st_size
+                if size <= CONTENT_SCAN_CAP:
+                    text = handle.read(size).decode("utf-8", errors="replace").lower()
+                    content_hits = sum(1 for kw in query.normalized if kw in text)
         except OSError:
-            data = b""
-        content_hits = (
-            _content_hits(data, query.normalized)
-            if len(data) <= CONTENT_SCAN_CAP
-            else 0
-        )
+            pass
 
         score = PATH_WEIGHT * path_hits + content_hits
         if score > 0:
@@ -114,17 +115,6 @@ def match_files(ws: Workspace, query: KeywordQuery) -> MatchSet:
         limit=MATCH_LIMIT,
         truncated=len(scored) > MATCH_LIMIT,
     )
-
-
-def _content_hits(data: bytes, keywords: tuple[str, ...]) -> int:
-    """How many of the lowercase ``keywords`` occur in ``data`` once it
-    is lowercased."""
-    if data.isascii():
-        # ASCII lowercases the same as bytes and as text.
-        lowered = data.lower()
-        return sum(1 for kw in keywords if kw.encode() in lowered)
-    text = data.decode("utf-8", errors="replace").lower()
-    return sum(1 for kw in keywords if kw in text)
 
 
 def render_match_tree(match_set: MatchSet, root_name: str) -> MatchTree:

@@ -276,12 +276,8 @@ def _fs_clock(ws: Workspace) -> int:
         raise IoFailure(f"cannot touch {marker}: {exc}") from exc
 
 
-def _scan(
-    ws: Workspace, park: bool, since: dict[str, str] | None = None
-) -> tuple[dict[str, str], dict[str, bytes]]:
-    """Digest of every file a snapshot covers, keyed by relative path,
-    and the bytes read of each file whose digest differs from its digest
-    in ``since`` (none without ``since``).
+def _scan(ws: Workspace, park: bool) -> dict[str, str]:
+    """Digest of every file a snapshot covers, keyed by relative path.
 
     Reads only the files whose stat key misses the cache. With ``park``
     every digest's bytes also end up in the pack, so a file whose digest
@@ -291,7 +287,6 @@ def _scan(
     root = str(ws.root)
     cache: dict[str, tuple[_StatKey, str]] = {}
     digests: dict[str, str] = {}
-    changed: dict[str, bytes] = {}
     appended: dict[str, tuple[int, int]] = {}
     pack = None
     try:
@@ -312,8 +307,6 @@ def _scan(
                 except OSError as exc:
                     raise IoFailure(f"cannot store blob for {rel}: {exc}") from exc
             digests[rel] = digest
-            if since is not None and since.get(rel) != digest:
-                changed[rel] = data
             if key[1] < reference and key[3] < reference:  # mtime, ctime
                 cache[rel] = (key, digest)
     finally:
@@ -324,12 +317,12 @@ def _scan(
                 raise IoFailure(f"cannot flush {pack.name}: {exc}") from exc
     ws._parked.update(appended)
     ws._stat_cache = cache
-    return digests, changed
+    return digests
 
 
 def take_snapshot(ws: Workspace, stage_label: str = "") -> Snapshot:
     """Record the current tree and park its bytes for later restore."""
-    digest_map, _ = _scan(ws, park=True)
+    digest_map = _scan(ws, park=True)
     ws._snapshot_serial += 1
     return Snapshot(
         snapshot_id=f"snap-{ws._snapshot_serial:04d}",
@@ -366,7 +359,7 @@ def restore_snapshot(ws: Workspace, snap: Snapshot) -> None:
     deleted files are rewritten from the pack, never through a link.
     """
     _check_owner(ws, snap)
-    current, _ = _scan(ws, park=False)
+    current = _scan(ws, park=False)
     try:
         for rel in current:
             if rel not in snap.digest_map:
@@ -475,23 +468,16 @@ def compute_diff(ws: Workspace, snap: Snapshot) -> DiffDocument:
 
     Paths carry ``a/``/``b/`` prefixes with three context lines, so the
     text applies with a standard patch utility run at the tree root.
-    Only paths whose digests differ are read, each once.
+    Only paths whose digests differ are read.
     """
     _check_owner(ws, snap)
+    current = _scan(ws, park=False)
     old = snap.digest_map
-    current, read = _scan(ws, park=False, since=old)
-
-    def new_bytes(rel: str) -> bytes | None:
-        if rel in read:
-            return read[rel]
-        # The scan took this digest from the stat cache, not from a read.
-        return _read_bytes(ws.root / rel) if rel in current else None
-
     return DiffDocument("".join(
         file_diff(
             rel,
             _blob_bytes(ws, old[rel]) if rel in old else None,
-            new_bytes(rel),
+            _read_bytes(ws.root / rel) if rel in current else None,
         ).text
         for rel in sorted(current.keys() | old.keys())
         if old.get(rel) != current.get(rel)

@@ -7,11 +7,13 @@ work, one region edit per iteration, with the test re-run after every
 pass. The test certified before the first edit is the run's only
 verifier: nothing proposes or certifies another, and every verdict but
 Pass, a timeout or a broken import included, goes back to the agent as
-feedback on its patch. A run ends when the test passes, when a budget
-runs out (the report then carries the last patch, unvalidated), or when
-the bug never reproduced in the first place. Every budget stops a run
-through one signal, ``BudgetExhausted``. A Resolved run then runs the
-task's validation command, whose failure downgrades it to Unresolved.
+feedback on its patch. A model judge serves certification only; a
+validation run no rule can read stays Inconclusive. A run ends when the
+test passes, when a budget runs out (the report then carries the last
+patch, unvalidated), or when the bug never reproduced in the first place.
+Every budget stops a run through one signal, ``BudgetExhausted``. A
+Resolved run then runs the task's validation command, whose failure
+downgrades it to Unresolved.
 
 No exception escapes ``run_irv``; every failure folds into the run
 report's outcome and event log, and a report is never changed after.
@@ -106,13 +108,12 @@ such as an exception name; omit the line if unsure>"""
 TEST_REQUEST = """\
 Write a small script that reproduces the bug. It must exit non-zero while
 the bug is present (an uncaught exception is fine) and exit zero once the
-bug is fixed. The script runs from the repository root.
+bug is fixed. The harness runs the script with python3 from the
+repository root.
 
 Action: propose_test with args:
-  file_name    bare file name for the script (stored under the reserved
-               test directory)
-  source       full script text
-  command      command line to run it, relative to the repository root"""
+  file_name    bare file name for the script
+  source       full script text"""
 
 JUDGE_INSTRUCTIONS = """\
 A reproduction test failed but the log matches no known pattern. Decide
@@ -279,19 +280,13 @@ class _RunContext:
         return self.session.complete(messages, params)
 
     def judge(self, excerpt: str) -> str:
-        """Ask the model whether a failure log shows the bug or a broken
-        test; testkit maps the label. An unreachable judge is noted and
-        gives no label, which leaves the verdict Inconclusive. Until the
-        repair machine exists the tree is the base tree: no diff to take."""
-        patch = ""
-        if self.machine is not None:
-            patch = compute_diff(self.ws, self.base_snapshot).text
+        """Ask the model whether a certification run's failure log shows
+        the bug or a broken test; testkit maps the label. An unreachable
+        judge is noted and gives no label, which leaves the verdict
+        Inconclusive."""
         prompt = [
             Message("system", JUDGE_INSTRUCTIONS),
-            Message(
-                "user",
-                f"Log excerpt:\n{excerpt}\n\nCurrent patch:\n{_clip(patch)}",
-            ),
+            Message("user", f"Log excerpt:\n{excerpt}"),
         ]
         try:
             raw = self.complete(prompt, self.config.backend_params())
@@ -337,18 +332,13 @@ def _propose_test(
     if turn is None:
         return None
     source = turn.args.get("source", "")
-    command = turn.args.get("command", "")
     name = turn.args.get("file_name") or f"repro_v{version}.py"
     if not source.strip():
         return "propose_test needs a non-empty source arg"
-    invocation = tuple(shlex.split(command))
-    if not invocation:
-        return "propose_test needs a non-empty command arg"
     try:
         return TestArtifact(
             name=name,
             source_text=source,
-            invocation=invocation,
             expected_signature=run.summary.expected_signature,
         )
     except ValueError as exc:
@@ -381,8 +371,8 @@ def establish_reproduction(run: _RunContext) -> bool:
             run.note("reproduction-certified")
             run.conv.append(
                 "user",
-                "Reproduction test certified: it fails consistently with "
-                "the expected signature on the unpatched tree.",
+                "Reproduction test certified: every run of it on the "
+                "unpatched tree showed the bug.",
             )
             return True
         run.note(f"reproduction-attempt-{version}:failed")
@@ -637,9 +627,7 @@ def run_irv(task: "TaskInstance", config: IrvConfig, backend: Backend) -> RunRep
             run.note(f"iteration-{iteration}")
             _drive_icsr_pass(run)
             result = run_test(run.ws, run.artifact, config.test_timeout_s)
-            verdict, report = classify_result(
-                result, run.artifact.expected_signature, judge=run.judge
-            )
+            verdict, report = classify_result(result, run.artifact.expected_signature)
             run.note(f"verdict:{verdict.value}")
             if verdict is TestVerdict.Pass:
                 return _report(run, passed=True)

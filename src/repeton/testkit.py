@@ -3,10 +3,11 @@
 This module alone writes the reserved ``.repeton_tests/`` directory,
 which snapshots and diffs never see, so a patch can never smuggle its
 own test along. ``run_test`` re-creates it right before each run to
-hold only the test being run: what an earlier run left there, a link
-planted in its place or a test that rewrote itself never reaches the
-next run. ``run_command`` runs
-tests and bench validation commands alike: in their own session, with
+hold only the test being run, then runs ``python3 .repeton_tests/<name>``
+at the workspace root: the model writes a test, never its command. What
+an earlier run left there, a link planted in its place or a test that
+rewrote itself never reaches the next run. ``run_command`` runs tests
+and bench validation commands alike: in their own session, with
 ``REPETON=1`` exported and only an allow-listed part of the harness
 environment, and output to unlinked temporary files of which only the
 tail is read back. It waits on the child, not on its output, and kills
@@ -15,13 +16,12 @@ out, so nothing left in that group outlives the run. A descendant that
 starts its own session escapes that kill; output on disk is bounded
 only by the timeout.
 
-Classification is rule-ordered and deterministic; an optional judge
-callback breaks ties for logs the rules cannot read, and may never
-declare a test passing. ``classify_result`` alone maps the judge's
-labels, and one judge serves both the certification of a reproduction
-test (``certify_failure``) and the validation of each patch. Whatever
-the judge raises reaches the caller unchanged. A test is certified once
-per run, on the untouched base tree, and is never replaced after, so a
+Classification (``classify_result``) is rule-ordered and deterministic.
+A model judge serves certification alone: ``certify_failure`` asks it
+about a run the rules leave Inconclusive and maps its labels, which may
+confirm the bug or condemn the test but never pass it. Whatever the
+judge raises reaches the caller unchanged. A test is certified once per
+run, on the untouched base tree, and is never replaced after, so a
 failing validation can only come from the patched tree: the suggestions
 that travel with a verdict speak to the patch, not to the test.
 """
@@ -29,6 +29,7 @@ that travel with a verdict speak to the patch, not to the test.
 from __future__ import annotations
 
 import os
+import re
 import shutil
 import signal
 import subprocess
@@ -50,10 +51,13 @@ DEFAULT_TIMEOUT_S = 120.0
 OUTPUT_CAP_BYTES = 8 * 1024
 EXCERPT_CAP_CHARS = 4 * 1024
 CERTIFICATION_RUNS = 2
+# The interpreter every reproduction test runs under, found on PATH.
+TEST_INTERPRETER = "python3"
 
-# A marker only counts when the reserved directory shows up in the same
-# stderr, i.e. the failure originates from the test file itself.
+# A marker only counts when the innermost traceback frame is the test
+# file: a broken import in the repository's own code may be the bug.
 INVALID_MARKERS = ("ImportError", "ModuleNotFoundError", "SyntaxError")
+_FRAME_FILE = re.compile(r'^\s*File "([^"]*)"', re.MULTILINE)
 
 
 class TestVerdict(Enum):
@@ -69,14 +73,11 @@ class TestArtifact:
 
     name: str
     source_text: str
-    invocation: tuple[str, ...]
     expected_signature: str = ""
 
     def __post_init__(self) -> None:
         # The file sits directly in the reserved directory: one plain name.
         check_plain_name(self.name, "test name")
-        if not self.invocation:
-            raise ValueError("invocation must not be empty")
 
 
 @dataclass(frozen=True)
@@ -187,7 +188,8 @@ def run_test(
     """Write the test into the reserved directory, then execute it at
     the workspace root with bounded output."""
     _place_test(ws, artifact)
-    return run_command(ws.root, artifact.invocation, timeout_s)
+    argv = (TEST_INTERPRETER, f"{RESERVED_TEST_DIR}/{artifact.name}")
+    return run_command(ws.root, argv, timeout_s)
 
 
 def _excerpt(result: ExecutionResult) -> str:
@@ -195,25 +197,20 @@ def _excerpt(result: ExecutionResult) -> str:
     return combined[-EXCERPT_CAP_CHARS:]
 
 
-_JUDGE_LABELS = {
-    "failbugpresent": TestVerdict.FailBugPresent,
-    "bug": TestVerdict.FailBugPresent,
-    "failinvalidtest": TestVerdict.FailInvalidTest,
-    "invalid": TestVerdict.FailInvalidTest,
-}
+def _fails_in_test_file(stderr: str) -> bool:
+    """Whether the innermost traceback frame in ``stderr`` is the test's."""
+    frames = _FRAME_FILE.findall(stderr)
+    return bool(frames) and RESERVED_TEST_DIR in frames[-1]
 
 
 def classify_result(
-    result: ExecutionResult,
-    expected_signature: str = "",
-    judge: Callable[[str], str] | None = None,
+    result: ExecutionResult, expected_signature: str = ""
 ) -> tuple[TestVerdict, DiagnosticReport | None]:
     """Apply the verdict rules in order; non-Pass verdicts carry a report.
 
     Rule order: clean exit wins, then timeout, then import/collection
-    markers, then the expected failure signature, then the judge. The
-    judge may only confirm a bug or condemn the test, never pass it;
-    whatever it raises propagates unchanged.
+    markers raised in the test file, then the expected failure
+    signature; a failure no rule reads is Inconclusive.
     """
     if result.exit_code == 0 and not result.timed_out:
         return TestVerdict.Pass, None
@@ -221,7 +218,7 @@ def classify_result(
     if result.timed_out:
         verdict = TestVerdict.FailInvalidTest
         suggestion = "test timed out on the patched tree; make the patched code terminate"
-    elif RESERVED_TEST_DIR in result.stderr_tail and any(
+    elif _fails_in_test_file(result.stderr_tail) and any(
         marker in result.stderr_tail for marker in INVALID_MARKERS
     ):
         verdict = TestVerdict.FailInvalidTest
@@ -233,13 +230,16 @@ def classify_result(
     else:
         verdict = TestVerdict.Inconclusive
         suggestion = "failure does not match the expected signature; inspect the log"
-        if judge is not None:
-            label = judge(_excerpt(result))
-            verdict = _JUDGE_LABELS.get(label.strip().lower(), TestVerdict.Inconclusive)
-            if verdict is not TestVerdict.Inconclusive:
-                suggestion = f"judge classified the failure as {verdict.value}"
 
     return verdict, DiagnosticReport(log_excerpt=_excerpt(result), suggestion=suggestion)
+
+
+_JUDGE_LABELS = {
+    "failbugpresent": TestVerdict.FailBugPresent,
+    "bug": TestVerdict.FailBugPresent,
+    "failinvalidtest": TestVerdict.FailInvalidTest,
+    "invalid": TestVerdict.FailInvalidTest,
+}
 
 
 def certify_failure(
@@ -249,13 +249,16 @@ def certify_failure(
     judge: Callable[[str], str] | None = None,
 ) -> tuple[bool, list[TestVerdict]]:
     """Run the test ``CERTIFICATION_RUNS`` times; certified only if every
-    run reproduces the bug. Stops early at the first run that does not."""
+    run reproduces the bug. ``judge`` labels a run the rules leave
+    Inconclusive. Stops early at the first run that does not reproduce."""
     verdicts: list[TestVerdict] = []
     for _ in range(CERTIFICATION_RUNS):
-        result = run_test(ws, artifact, timeout_s)
-        verdict, _report = classify_result(
-            result, artifact.expected_signature, judge=judge
+        verdict, report = classify_result(
+            run_test(ws, artifact, timeout_s), artifact.expected_signature
         )
+        if verdict is TestVerdict.Inconclusive and judge is not None:
+            label = judge(report.log_excerpt).strip().lower()
+            verdict = _JUDGE_LABELS.get(label, TestVerdict.Inconclusive)
         verdicts.append(verdict)
         if verdict is not TestVerdict.FailBugPresent:
             return False, verdicts

@@ -6,9 +6,11 @@ canonical scenarios (resolved, empty patch, unresolved, cannot
 reproduce), the frozen event logs those scenarios must produce, and
 helpers that record the scripted sessions into replay transcripts.
 
-Scripted replies invoke the reproduction test through the bare
-``python3`` command so recorded transcripts stay valid on any machine
-with an interpreter on PATH.
+Scripted replies carry only a reproduction test's file name and source.
+The harness runs it with the bare ``python3`` on PATH, so recorded
+transcripts stay valid on any machine with an interpreter there.
+``PYTHON`` names that interpreter for scripts that still send a
+``command`` arg, which the harness ignores.
 """
 
 from __future__ import annotations
@@ -109,7 +111,6 @@ def _propose_test(file_name: str, source: str) -> str:
         "propose_test",
         file_name=file_name,
         source=source,
-        command=f"{PYTHON} .repeton_tests/{file_name}",
     )
 
 

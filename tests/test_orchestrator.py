@@ -190,11 +190,9 @@ def test_persistent_malformed_replies_exhaust_reproduction(calc_repo, work_root)
 def test_rejected_test_proposals_consume_versions(calc_repo, work_root):
     script = [
         SUMMARY_REPLY,
-        action("forgot the body", "propose_test",
-               file_name="t.py", source="", command="python3 t.py"),
+        action("forgot the body", "propose_test", file_name="t.py", source=""),
         action("escape attempt", "propose_test",
-               file_name="../t.py", source=TEST_SOURCE,
-               command="python3 .repeton_tests/../t.py"),
+               file_name="../t.py", source=TEST_SOURCE),
         calcfix._propose_test("test_add.py", TEST_SOURCE),
         *calcfix._search_steps(),
         action("fix", "edit_region",
@@ -299,9 +297,8 @@ UNSIGNED_SUMMARY = (
 )
 
 
-def test_unsigned_summary_certifies_through_the_judge(
-    calc_repo, work_root, monkeypatch
-):
+def count_diffs(monkeypatch) -> list:
+    """The snapshot of every ``compute_diff`` the orchestrator takes."""
     diffs = []
 
     def counted_diff(ws, snap):
@@ -309,6 +306,13 @@ def test_unsigned_summary_certifies_through_the_judge(
         return compute_diff(ws, snap)
 
     monkeypatch.setattr(orchestrator, "compute_diff", counted_diff)
+    return diffs
+
+
+def test_unsigned_summary_certifies_through_the_judge(
+    calc_repo, work_root, monkeypatch
+):
+    diffs = count_diffs(monkeypatch)
     script = calcfix.resolved_script()
     script[0] = UNSIGNED_SUMMARY
     script[2:2] = ["BUG", "BUG"]  # one label per certification run
@@ -334,11 +338,78 @@ def test_judge_can_refuse_certification(calc_repo, work_root):
     assert report.event_names == GOLDEN_EVENTS["cannot_reproduce"]
 
 
+def unsigned_script(*judge_replies: str) -> list[str]:
+    """An unsigned summary and one test proposal, then ``judge_replies``."""
+    return [
+        UNSIGNED_SUMMARY,
+        calcfix._propose_test("test_add.py", TEST_SOURCE),
+        *judge_replies,
+    ]
+
+
+def test_judge_call_past_the_call_budget_ends_the_run(calc_repo, work_root):
+    report = run_custom(
+        calc_repo, work_root, unsigned_script("BUG", "BUG"), max_llm_calls=2
+    )
+    assert report.outcome is RunOutcome.EmptyPatch
+    assert report.event_names == [
+        "workspace-opened", "summary-pinned",
+        "budget-exhausted:llm-calls", "empty-patch",
+    ]
+    assert report.llm_calls_used == 2
+
+
+class SentinelSession(ScriptedSession):
+    """Scripted session, and its own backend, that raises at its sentinel
+    reply and keeps the last message of every prompt."""
+
+    def __init__(self, responses: list[str]) -> None:
+        super().__init__(responses)
+        self.last_messages: list[str] = []
+
+    def complete(self, messages, params) -> str:
+        self.last_messages.append(messages[-1].content)
+        reply = super().complete(messages, params)
+        if reply == "RAISE:HttpFailure":
+            raise HttpFailure("scripted transport failure")
+        return reply
+
+    def session(self) -> SentinelSession:
+        return self
+
+
+def test_unreachable_judge_keeps_verdict_inconclusive(calc_repo, work_root):
+    script = [
+        *unsigned_script("RAISE:HttpFailure"),
+        *unsigned_script("BUG", "BUG")[1:],
+        *calcfix.resolved_script()[2:],
+    ]
+    backend = SentinelSession(script)
+    report = run_irv(
+        make_task("calc-custom", calc_repo), IrvConfig(work_root=str(work_root)), backend
+    )
+    assert report.outcome is RunOutcome.Resolved
+    assert report.event_names[2:5] == [
+        "judge-unavailable", "reproduction-attempt-1:failed", "reproduction-certified",
+    ]
+    assert "(runs classified: Inconclusive)" in backend.last_messages[3]
+
+
+def test_failing_judge_ends_the_run_with_its_own_error(calc_repo, work_root):
+    # The script runs out exactly at the judge call.
+    report = run_custom(calc_repo, work_root, unsigned_script())
+    assert report.outcome is RunOutcome.Unresolved
+    assert report.event_names == [
+        "workspace-opened", "summary-pinned", "harness-error:AssertionError",
+    ]
+    assert report.llm_calls_used == 3  # the judge call is charged
+
+
 # ---- validation verdicts ----
 
-def judged_edit_script() -> list[str]:
-    """A certified test, then an edit whose failure no rule can read."""
-    return [
+def test_inconclusive_validation_asks_no_judge(calc_repo, work_root, monkeypatch):
+    diffs = count_diffs(monkeypatch)
+    script = [
         SUMMARY_REPLY,
         calcfix._propose_test("test_add.py", TEST_SOURCE),
         *calcfix._search_steps(),
@@ -346,64 +417,56 @@ def judged_edit_script() -> list[str]:
                start="5", end="5", replacement="    return a + b + missing_nm"),
         action("done", "done"),
     ]
-
-
-def test_inconclusive_failure_asks_the_judge(calc_repo, work_root):
-    script = [*judged_edit_script(), "BUG"]
-    report = run_custom(
-        calc_repo, work_root, script, max_irv_iterations=1
-    )
+    report = run_custom(calc_repo, work_root, script, max_irv_iterations=1)
     assert report.outcome is RunOutcome.Unresolved
-    assert "verdict:FailBugPresent" in report.event_names
-    assert report.llm_calls_used == 9
-
-
-def test_judge_call_past_the_call_budget_ends_the_run(calc_repo, work_root):
-    script = [*judged_edit_script(), "BUG"]
-    report = run_custom(
-        calc_repo, work_root, script, max_irv_iterations=1, max_llm_calls=8
-    )
-    assert report.outcome is RunOutcome.Unresolved
-    assert report.event_names[-2:] == [
-        "budget-exhausted:llm-calls", "unresolved:last-patch-accepted",
+    assert report.event_names[-3:] == [
+        "verdict:Inconclusive",
+        "budget-exhausted:iterations",
+        "unresolved:last-patch-accepted",
     ]
-    assert report.llm_calls_used == 8
+    assert report.llm_calls_used == GOLDEN_CALLS["unresolved"]
+    assert len(diffs) == 1
 
 
-class SentinelSession(ScriptedSession):
+class JudgeAnsweringSession(ScriptedSession):
+    """Scripted agent replies; every judge prompt gets ``BUG`` instead."""
+
+    def __init__(self, responses: list[str]) -> None:
+        super().__init__(responses)
+        self.judged = 0
+
     def complete(self, messages, params) -> str:
-        reply = super().complete(messages, params)
-        if reply == "RAISE:HttpFailure":
-            raise HttpFailure("scripted transport failure")
-        return reply
+        if messages[0].content == orchestrator.JUDGE_INSTRUCTIONS:
+            self.judged += 1
+            return "BUG"
+        return super().complete(messages, params)
+
+    def session(self) -> JudgeAnsweringSession:
+        return self
 
 
-class SentinelBackend(ScriptedBackend):
-    def session(self) -> SentinelSession:
-        return SentinelSession(self.responses)
-
-
-def test_unreachable_judge_keeps_verdict_inconclusive(calc_repo, work_root):
-    script = [*judged_edit_script(), "RAISE:HttpFailure"]
-    config = replace(
-        IrvConfig(work_root=str(work_root)), max_irv_iterations=1
+def test_a_command_arg_cannot_point_the_test_elsewhere(
+    calc_repo, work_root, monkeypatch
+):
+    # ``python3 test_add.py`` names no file in the tree; were it run,
+    # "can't open file" is all any run would show.
+    diffs = count_diffs(monkeypatch)
+    script = calcfix.resolved_script()
+    script[1] = action(
+        "write a failing check for add", "propose_test",
+        file_name="test_add.py", source=TEST_SOURCE, command="python3 test_add.py",
     )
+    backend = JudgeAnsweringSession(script)
     report = run_irv(
-        make_task("calc-custom", calc_repo), config, SentinelBackend(script)
+        make_task("calc-custom", calc_repo), IrvConfig(work_root=str(work_root)), backend
     )
-    assert report.outcome is RunOutcome.Unresolved
-    assert "judge-unavailable" in report.event_names
-    assert "verdict:Inconclusive" in report.event_names
-
-
-def test_failing_judge_ends_the_run_with_its_own_error(calc_repo, work_root):
-    # The script runs out exactly at the judge call.
-    report = run_custom(
-        calc_repo, work_root, judged_edit_script(), max_irv_iterations=1
-    )
-    assert report.outcome is RunOutcome.Unresolved
-    assert report.event_names[-1] == "harness-error:AssertionError"
-    assert "judge-unavailable" not in report.event_names
+    assert report.outcome is RunOutcome.Resolved
+    assert report.event_names == GOLDEN_EVENTS["resolved"]
+    assert report.llm_calls_used == GOLDEN_CALLS["resolved"]
+    assert backend.judged == 0
+    assert len(diffs) == 1
+    golden = (FIXTURES / "calc_golden.patch").read_text()
+    assert report.final_diff.text == golden
 
 
 def record_test_runs(monkeypatch) -> list[testkit.TestArtifact]:
@@ -447,7 +510,7 @@ def test_a_patch_that_breaks_the_test_import_gets_another_pass(
     assert report.outcome is RunOutcome.Resolved
     assert report.event_names == [
         "workspace-opened", "summary-pinned", "reproduction-certified",
-        "iteration-1", "edit-applied", "verdict:FailInvalidTest",
+        "iteration-1", "edit-applied", "verdict:Inconclusive",
         "iteration-2", "edit-applied", "verdict:Pass", "resolved",
     ]
     assert report.llm_calls_used == 10

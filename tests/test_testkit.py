@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import os
 import signal
-import sys
 import time
 import tracemalloc
 
@@ -21,15 +20,10 @@ from repeton.testkit import (
 )
 from repeton.workspace import compute_diff, take_snapshot
 
-PY = sys.executable
-
 
 def artifact(source: str, name: str = "check.py", signature: str = "AssertionError"):
     return testkit.TestArtifact(
-        name=name,
-        source_text=source,
-        invocation=(PY, f".repeton_tests/{name}"),
-        expected_signature=signature,
+        name=name, source_text=source, expected_signature=signature
     )
 
 
@@ -66,22 +60,7 @@ def test_artifact_accepts_reserved_directory_paths():
 )
 def test_artifact_rejects_paths_outside_reserved_dir(bad_name):
     with pytest.raises(ValueError, match="plain file name"):
-        testkit.TestArtifact(
-            name=bad_name,
-            source_text="assert True\n",
-            invocation=(PY, bad_name),
-            expected_signature="",
-        )
-
-
-def test_artifact_rejects_empty_invocation():
-    with pytest.raises(ValueError):
-        testkit.TestArtifact(
-            name="x.py",
-            source_text="pass\n",
-            invocation=(),
-            expected_signature="",
-        )
+        testkit.TestArtifact(name=bad_name, source_text="assert True\n")
 
 
 def test_materialize_writes_under_workspace_root(calc_ws):
@@ -158,9 +137,11 @@ def test_run_test_captures_exit_and_output(calc_ws):
 
 def test_run_test_runs_from_workspace_root_with_flag_set(calc_ws):
     art = artifact(
-        "import os\n"
+        "import os, sys\n"
         "assert os.environ.get('REPETON') == '1'\n"
         "assert os.path.exists('calc.py')\n"
+        "assert os.path.basename(sys.executable) == 'python3'\n"
+        "assert sys.argv == ['.repeton_tests/check.py']\n"
     )
     assert run_test(calc_ws, art).exit_code == 0
 
@@ -265,15 +246,9 @@ def test_output_is_not_buffered_in_memory(calc_ws):
     assert peak < size // 8
 
 
-def test_run_test_missing_interpreter_raises_spawn_failure(calc_ws):
-    art = testkit.TestArtifact(
-        name="x.py",
-        source_text="pass\n",
-        invocation=("/no/such/binary", "x"),
-        expected_signature="",
-    )
-    with pytest.raises(SpawnFailure):
-        run_test(calc_ws, art)
+def test_run_command_missing_program_raises_spawn_failure(tmp_path):
+    with pytest.raises(SpawnFailure, match="/no/such/binary"):
+        testkit.run_command(tmp_path, ["/no/such/binary", "x"], 5.0)
 
 
 def test_clean_exit_classifies_as_pass():
@@ -306,6 +281,36 @@ def test_import_marker_needs_reserved_dir_mention():
     assert verdict is testkit.TestVerdict.FailBugPresent
 
 
+IMPORTS_CALC = (
+    "import os, sys\n"
+    "sys.path.insert(0, os.getcwd())\n"
+    "from calc import add\n"
+)
+
+
+@pytest.mark.parametrize(
+    "broken_calc,source,expected",
+    [
+        # The repository's own import is the bug the test reproduces.
+        ("from collections import Mapping\n", IMPORTS_CALC,
+         testkit.TestVerdict.FailBugPresent),
+        (None, "from collections import Mapping\n" + IMPORTS_CALC,
+         testkit.TestVerdict.FailInvalidTest),
+    ],
+    ids=["in-repository", "in-test"],
+)
+def test_import_error_is_invalid_only_when_raised_in_the_test(
+    calc_ws, broken_calc, source, expected
+):
+    if broken_calc is not None:
+        calc = calc_ws.root / "calc.py"
+        calc.write_text(broken_calc + calc.read_text())
+    run = run_test(calc_ws, artifact(source, signature="ImportError"))
+    assert any(marker in run.stderr_tail for marker in testkit.INVALID_MARKERS)
+    verdict, _ = classify_result(run, expected_signature="ImportError")
+    assert verdict is expected
+
+
 def test_signature_match_classifies_as_bug_present():
     verdict, report = classify_result(
         result(stderr="AssertionError: add(2, 3) returned 6"),
@@ -323,24 +328,30 @@ def test_unmatched_failure_is_inconclusive_without_judge():
     assert report is not None
 
 
-def test_judge_runs_only_for_inconclusive_failures():
+# Fails with no expected signature in its log: only a judge can read it.
+UNREADABLE_FAILURE = "raise TypeError('boom')\n"
+
+
+def test_judge_runs_only_for_inconclusive_failures(calc_ws):
     calls = []
 
     def judge(excerpt):
         calls.append(excerpt)
         return "bug"
 
-    verdict, _ = classify_result(
-        result(stderr="AssertionError"), expected_signature="AssertionError", judge=judge
+    certified, _ = certify_failure(
+        calc_ws, artifact("raise AssertionError\n"), judge=judge
     )
-    assert verdict is testkit.TestVerdict.FailBugPresent
+    assert certified
     assert calls == []
 
-    verdict, _ = classify_result(
-        result(stderr="TypeError"), expected_signature="AssertionError", judge=judge
+    certified, verdicts = certify_failure(
+        calc_ws, artifact(UNREADABLE_FAILURE), judge=judge
     )
-    assert verdict is testkit.TestVerdict.FailBugPresent
-    assert len(calls) == 1
+    assert certified
+    assert verdicts == [testkit.TestVerdict.FailBugPresent] * CERTIFICATION_RUNS
+    assert len(calls) == CERTIFICATION_RUNS
+    assert all("TypeError: boom" in excerpt for excerpt in calls)
 
 
 @pytest.mark.parametrize(
@@ -354,25 +365,19 @@ def test_judge_runs_only_for_inconclusive_failures():
         ("nonsense", testkit.TestVerdict.Inconclusive),
     ],
 )
-def test_judge_labels_map_but_never_pass(label, expected):
-    verdict, _ = classify_result(
-        result(stderr="TypeError"),
-        expected_signature="AssertionError",
-        judge=lambda _e: label,
+def test_judge_labels_map_but_never_pass(calc_ws, label, expected):
+    _certified, verdicts = certify_failure(
+        calc_ws, artifact(UNREADABLE_FAILURE), judge=lambda _e: label
     )
-    assert verdict is expected
+    assert verdicts[0] is expected
 
 
-def test_broken_judge_error_reaches_the_caller():
+def test_broken_judge_error_reaches_the_caller(calc_ws):
     def judge(_excerpt):
         raise RuntimeError("endpoint down")
 
     with pytest.raises(RuntimeError, match="endpoint down"):
-        classify_result(
-            result(stderr="TypeError"),
-            expected_signature="AssertionError",
-            judge=judge,
-        )
+        certify_failure(calc_ws, artifact(UNREADABLE_FAILURE), judge=judge)
 
 
 def test_certify_requires_consecutive_bug_reproductions(calc_ws):

@@ -15,6 +15,10 @@ Every budget stops a run through one signal, ``BudgetExhausted``. A
 Resolved run then runs the task's validation command, whose failure
 downgrades it to Unresolved.
 
+What the agent may do is one table, ``ACTIONS``: each action's args as
+the agent is told them, the stages that allow it and its handler. Every
+prompt lists the actions it allows, with their args, from that table.
+
 No exception escapes ``run_irv``; every failure folds into the run
 report's outcome and event log, and a report is never changed after.
 """
@@ -27,7 +31,7 @@ import time
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from enum import Enum
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .agentio import (
     DEFAULT_WINDOW_K,
@@ -44,16 +48,13 @@ from .codemap import outline_file, render_outline, view_region
 from .codesearch import make_query, match_files, render_match_tree
 from .errors import (
     BudgetExhausted,
-    EmptyQuery,
     HttpFailure,
     MalformedAction,
     RepetonError,
     SpawnFailure,
     UnknownAction,
 )
-from .patcher import (
-    DEFAULT_MAX_STAGE_ATTEMPTS, STAGE_VOCABULARY, IcsrMachine, IcsrStage, RegionEdit,
-)
+from .patcher import DEFAULT_MAX_STAGE_ATTEMPTS, IcsrMachine, IcsrStage, RegionEdit
 from .testkit import (
     DEFAULT_TIMEOUT_S,
     TestArtifact,
@@ -83,8 +84,6 @@ REACT_RETRIES = 2
 OBSERVATION_CAP = 4096
 VALIDATION_DEFAULT_TIMEOUT_S = 300.0
 
-TESTING_VOCABULARY = ("propose_test",)
-
 AGENT_CHARTER = """\
 You are an automated bug-repair agent working on one repository.
 You act in small steps. Every reply must end with exactly one fenced
@@ -96,7 +95,7 @@ action block of the form:
 
 All args values are strings. Keep edits minimal: fix the reported bug,
 nothing else. The harness tells you at every step which actions are
-allowed; any other action is rejected."""
+allowed and their args; any other action is rejected."""
 
 SUMMARIZER_INSTRUCTIONS = """\
 Condense the bug report below for a repair agent. Reply with:
@@ -109,11 +108,7 @@ TEST_REQUEST = """\
 Write a small script that reproduces the bug. It must exit non-zero while
 the bug is present (an uncaught exception is fine) and exit zero once the
 bug is fixed. The harness runs the script with python3 from the
-repository root.
-
-Action: propose_test with args:
-  file_name    bare file name for the script
-  source       full script text"""
+repository root."""
 
 JUDGE_INSTRUCTIONS = """\
 A reproduction test failed but the log matches no known pattern. Decide
@@ -297,12 +292,14 @@ class _RunContext:
         return words[0] if words else ""
 
 
-def _react_turn(run: _RunContext, vocabulary: tuple[str, ...]) -> ReactTurn | None:
-    """Prompt, complete and parse; retry twice on unusable replies.
+def _react_turn(run: _RunContext, stage: IcsrStage | None) -> ReactTurn | None:
+    """Prompt, complete and parse an action ``stage`` allows (None:
+    reproduction); retry twice on unusable replies.
 
     Returns None when every attempt was malformed.
     """
     params = run.config.backend_params()
+    vocabulary = _allowed(stage)
     for _ in range(REACT_RETRIES + 1):
         prompt = assemble_prompt(run.conv, run.config.window_k)
         raw = run.complete(prompt, params)
@@ -314,7 +311,7 @@ def _react_turn(run: _RunContext, vocabulary: tuple[str, ...]) -> ReactTurn | No
                 "user",
                 f"Rejected: {exc}. Reply with exactly one fenced ```action "
                 f"block holding a JSON object with keys thought, action, "
-                f"args. Allowed actions: {', '.join(vocabulary)}.",
+                f"args. {_menu(stage)}",
             )
     run.note("malformed-action-budget")
     return None
@@ -327,8 +324,8 @@ def _propose_test(
 ) -> TestArtifact | str | None:
     """Ask for one test version: its artifact, the reason it was
     rejected, or None when no reply held a usable action."""
-    run.conv.append("user", request)
-    turn = _react_turn(run, TESTING_VOCABULARY)
+    run.conv.append("user", f"{request}\n{_menu(None)}")
+    turn = _react_turn(run, None)
     if turn is None:
         return None
     source = turn.args.get("source", "")
@@ -393,110 +390,137 @@ def _stage_message(run: _RunContext, observation: str) -> str:
     if state.active_file:
         lines.append(f"[active file: {state.active_file}]")
     lines.append(observation)
-    vocab = STAGE_VOCABULARY[state.stage]
-    lines.append(f"Allowed actions: {', '.join(vocab)}.")
+    lines.append(_menu(state.stage))
     return "\n".join(lines)
 
 
 def _int_arg(args: dict[str, str], key: str) -> int:
     try:
-        return int(args[key])
-    except KeyError:
-        raise ValueError(f"missing integer arg {key!r}") from None
+        return int(args.get(key, ""))
     except ValueError:
         raise ValueError(f"arg {key!r} must be an integer") from None
-
-
-def _parse_rollback_target(name: str) -> IcsrStage:
-    wanted = name.replace("_", "").replace("-", "").lower()
-    for stage in IcsrStage:
-        if stage.name.lower() == wanted:
-            return stage
-    raise ValueError(f"unknown stage {name!r}")
 
 
 def _outline_text(ws: Workspace, path: str) -> str:
     return _clip(render_outline(outline_file(ws, path)) or "(no definitions found)")
 
 
-def _dispatch(run: _RunContext, turn: ReactTurn) -> tuple[str, bool]:
-    """Execute one parsed action. Returns (observation, pass_finished)."""
-    machine = run.machine
-    ws = run.ws
-    args = turn.args
+def _set_keywords(run: _RunContext, args: dict[str, str]) -> str:
+    query = make_query(args["keywords"].split(","))
+    run.machine.advance_stage(query)
+    return f"Keywords registered: {', '.join(query.keywords)}."
+
+
+def _search(run: _RunContext, args: dict[str, str]) -> str:
+    matches = match_files(run.ws, run.machine.state.query)
+    if not matches.entries:
+        return (
+            "No files matched those keywords. Roll back to Keywords "
+            "and choose different ones."
+        )
+    run.machine.advance_stage(matches)
+    tree = render_match_tree(matches, run.ws.root.name)
+    return f"Matched files:\n{_clip(tree.text)}"
+
+
+def _open_outline(run: _RunContext, args: dict[str, str]) -> str:
+    path = args["path"]
+    rendered = _outline_text(run.ws, path)
+    run.machine.advance_stage(path)
+    return f"Outline of {path}:\n{rendered}"
+
+
+def _view_region(run: _RunContext, args: dict[str, str]) -> str:
+    if "target" in args:
+        target: str | tuple[int, int] = args["target"]
+    else:
+        target = (_int_arg(args, "start"), _int_arg(args, "end"))
+    region = view_region(run.ws, run.machine.state.active_file, target)
+    if run.machine.state.stage is IcsrStage.Localize:
+        run.machine.advance_stage(target)
+    return f"Region {region.start_line}-{region.end_line}:\n{_clip(region.text)}"
+
+
+def _edit_region(run: _RunContext, args: dict[str, str]) -> str:
+    edit = RegionEdit(
+        path=run.machine.state.active_file or "",
+        start_line=_int_arg(args, "start"),
+        end_line=_int_arg(args, "end"),
+        replacement_text=args["replacement"],
+    )
+    diff = run.machine.apply_region_edit(edit)
+    run.note("edit-applied")
+    return f"Edit applied. Diff:\n{_clip(diff.text)}"
+
+
+def _switch_file(run: _RunContext, args: dict[str, str]) -> str:
+    path = args["path"]
+    run.machine.switch_active_file(path)
+    return (
+        f"Switched to {path}; pending modifications discarded.\n"
+        f"Outline:\n{_outline_text(run.ws, path)}"
+    )
+
+
+def _rollback(run: _RunContext, args: dict[str, str]) -> str:
+    wanted = args["stage"].replace("_", "").replace("-", "").lower()
+    stage = next((s for s in IcsrStage if s.name.lower() == wanted), None)
+    if stage is None:
+        raise ValueError(f"unknown stage {args['stage']!r}")
+    reason = args.get("reason", "")
+    run.machine.rollback_stage(stage, reason)
+    run.note(f"rollback:{stage.name}")
+    return f"Rolled back to {stage.name}. {reason}".rstrip()
+
+
+class _Action(NamedTuple):
+    args: tuple[str, ...]  # as the agent is told them; "[arg]" is optional
+    stages: tuple[IcsrStage | None, ...]  # the stages that allow it; None: reproduction
+    handler: Callable[[_RunContext, dict[str, str]], str] | None = None
+
+
+# Everything the agent may do. ``propose_test`` and ``done`` have no
+# handler: the reproduction step and the repair pass act on them.
+ACTIONS: dict[str, _Action] = {
+    "propose_test": _Action(("[file_name]", "source"), (None,)),
+    "set_keywords": _Action(("keywords",), (IcsrStage.Keywords,), _set_keywords),
+    "search": _Action((), (IcsrStage.FileSearch,), _search),
+    "open_outline": _Action(("path",), (IcsrStage.Outline,), _open_outline),
+    "view_region": _Action(
+        ("[target]", "[start]", "[end]"), (IcsrStage.Localize, IcsrStage.Edit), _view_region
+    ),
+    "edit_region": _Action(("start", "end", "replacement"), (IcsrStage.Edit,), _edit_region),
+    "switch_file": _Action(("path",), (IcsrStage.Localize, IcsrStage.Edit), _switch_file),
+    "rollback": _Action(("stage", "[reason]"), tuple(IcsrStage)[1:], _rollback),
+    "done": _Action((), (IcsrStage.Edit,)),
+}
+
+
+def _allowed(stage: IcsrStage | None) -> tuple[str, ...]:
+    return tuple(name for name, row in ACTIONS.items() if stage in row.stages)
+
+
+def _menu(stage: IcsrStage | None) -> str:
+    told = (f"{name}({', '.join(ACTIONS[name].args)})" for name in _allowed(stage))
+    return f"Allowed actions: {', '.join(told)}."
+
+
+def _act(run: _RunContext, turn: ReactTurn) -> str:
+    """Run one stage action. A refusal, a missing arg included, is the
+    observation; the stage message after it lists the action's args."""
+    row = ACTIONS[turn.action]
     try:
-        if turn.action == "set_keywords":
-            query = make_query(args.get("keywords", "").split(","))
-            machine.advance_stage(query)
-            return f"Keywords registered: {', '.join(query.keywords)}.", False
-
-        if turn.action == "search":
-            matches = match_files(ws, machine.state.query)
-            if not matches.entries:
-                return (
-                    "No files matched those keywords. Roll back to Keywords "
-                    "and choose different ones.",
-                    False,
-                )
-            machine.advance_stage(matches)
-            tree = render_match_tree(matches, ws.root.name)
-            return f"Matched files:\n{_clip(tree.text)}", False
-
-        if turn.action == "open_outline":
-            path = args.get("path", "")
-            rendered = _outline_text(ws, path)
-            machine.advance_stage(path)
-            return f"Outline of {path}:\n{rendered}", False
-
-        if turn.action == "view_region":
-            if "target" in args:
-                target: str | tuple[int, int] = args["target"]
-            else:
-                target = (_int_arg(args, "start"), _int_arg(args, "end"))
-            region = view_region(ws, machine.state.active_file, target)
-            if machine.state.stage is IcsrStage.Localize:
-                machine.advance_stage(target)
-            return f"Region {region.start_line}-{region.end_line}:\n{_clip(region.text)}", False
-
-        if turn.action == "switch_file":
-            path = args.get("path", "")
-            machine.switch_active_file(path)
-            return (
-                f"Switched to {path}; pending modifications discarded.\n"
-                f"Outline:\n{_outline_text(ws, path)}",
-                False,
-            )
-
-        if turn.action == "edit_region":
-            edit = RegionEdit(
-                path=machine.state.active_file or "",
-                start_line=_int_arg(args, "start"),
-                end_line=_int_arg(args, "end"),
-                replacement_text=args.get("replacement", ""),
-            )
-            diff = machine.apply_region_edit(edit)
-            run.note("edit-applied")
-            return f"Edit applied. Diff:\n{_clip(diff.text)}", False
-
-        if turn.action == "rollback":
-            target_stage = _parse_rollback_target(args.get("stage", ""))
-            reason = args.get("reason", "")
-            machine.rollback_stage(target_stage, reason)
-            run.note(f"rollback:{target_stage.name}")
-            return f"Rolled back to {target_stage.name}. {reason}".rstrip(), False
-
-        if turn.action == "done":
-            return "", True
-
-        return f"Action {turn.action!r} is not available here.", False
+        missing = [a for a in row.args if not a.startswith("[") and a not in turn.args]
+        if missing:
+            raise ValueError(f"missing arg {', '.join(missing)}")
+        return row.handler(run, turn.args)
     except (RepetonError, ValueError) as exc:
-        return f"Action failed: {exc}", False
+        return f"Action failed: {exc}"
 
 
 _INITIAL_OBSERVATION = (
     "Begin a repair pass. Choose comma-separated search keywords that "
-    "will locate the code responsible for the bug (action: set_keywords, "
-    "args: {\"keywords\": \"...\"})."
+    "will locate the code responsible for the bug."
 )
 # A later pass starts where the last one ended, past Keywords.
 _RESUMED_OBSERVATION = (
@@ -512,14 +536,14 @@ def _drive_icsr_pass(run: _RunContext) -> None:
     observation = _INITIAL_OBSERVATION if at_start else _RESUMED_OBSERVATION
     while True:
         run.conv.append("user", _stage_message(run, observation))
-        turn = _react_turn(run, STAGE_VOCABULARY[run.machine.state.stage])
+        turn = _react_turn(run, run.machine.state.stage)
         if turn is None:
             run.machine.note_failed_attempt()
             observation = "Still no usable action; follow the format exactly."
-            continue
-        observation, finished = _dispatch(run, turn)
-        if finished:
+        elif turn.action == "done":
             return
+        else:
+            observation = _act(run, turn)
 
 
 # ---- the validation command and the report ----

@@ -10,7 +10,8 @@ what it has.
 
 Only one region may be edited per iteration, and looking at a different
 file throws away pending modifications. Both rules exist to keep
-patches small.
+patches small. The machine knows stages, not actions: what the model
+may do at each stage is the orchestrator's to say.
 """
 
 from __future__ import annotations
@@ -52,17 +53,6 @@ class IcsrStage(IntEnum):
     Outline = 3
     Localize = 4
     Edit = 5
-
-
-# What the model may do at each stage. ``rollback`` targets any earlier
-# stage; ``done`` ends the pass and hands over to test validation.
-STAGE_VOCABULARY: dict[IcsrStage, tuple[str, ...]] = {
-    IcsrStage.Keywords: ("set_keywords",),
-    IcsrStage.FileSearch: ("search", "rollback"),
-    IcsrStage.Outline: ("open_outline", "rollback"),
-    IcsrStage.Localize: ("view_region", "switch_file", "rollback"),
-    IcsrStage.Edit: ("view_region", "edit_region", "switch_file", "rollback", "done"),
-}
 
 
 @dataclass(frozen=True)

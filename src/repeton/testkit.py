@@ -17,6 +17,8 @@ starts its own session escapes that kill; output on disk is bounded
 only by the timeout.
 
 Classification (``classify_result``) is rule-ordered and deterministic.
+An import error condemns the test only when it ends the run in the test
+file, not when the test catches it and raises its own failure.
 A model judge serves certification alone: ``certify_failure`` asks it
 about a run the rules leave Inconclusive and maps its labels, which may
 confirm the bug or condemn the test but never pass it. Whatever the
@@ -54,8 +56,9 @@ CERTIFICATION_RUNS = 2
 # The interpreter every reproduction test runs under, found on PATH.
 TEST_INTERPRETER = "python3"
 
-# A marker only counts when the innermost traceback frame is the test
-# file: a broken import in the repository's own code may be the bug.
+# A marker only counts as the type of the exception that ended the run,
+# raised with the test file as the innermost frame: a broken import in
+# the repository's own code may be the bug, caught or not by the test.
 INVALID_MARKERS = ("ImportError", "ModuleNotFoundError", "SyntaxError")
 _FRAME_FILE = re.compile(r'^\s*File "([^"]*)"', re.MULTILINE)
 
@@ -197,10 +200,14 @@ def _excerpt(result: ExecutionResult) -> str:
     return combined[-EXCERPT_CAP_CHARS:]
 
 
-def _fails_in_test_file(stderr: str) -> bool:
-    """Whether the innermost traceback frame in ``stderr`` is the test's."""
+def _test_is_broken(stderr: str) -> bool:
+    """Whether the run ended on a marker exception raised in the test
+    file: the final line's exception type is a marker and the innermost
+    traceback frame is the test's."""
     frames = _FRAME_FILE.findall(stderr)
-    return bool(frames) and RESERVED_TEST_DIR in frames[-1]
+    final_type = stderr.rstrip().rpartition("\n")[2].partition(":")[0]
+    return (bool(frames) and RESERVED_TEST_DIR in frames[-1]
+            and final_type.rpartition(".")[2] in INVALID_MARKERS)
 
 
 def classify_result(
@@ -208,8 +215,8 @@ def classify_result(
 ) -> tuple[TestVerdict, DiagnosticReport | None]:
     """Apply the verdict rules in order; non-Pass verdicts carry a report.
 
-    Rule order: clean exit wins, then timeout, then import/collection
-    markers raised in the test file, then the expected failure
+    Rule order: clean exit wins, then timeout, then an import or syntax
+    error that ended the run in the test file, then the expected failure
     signature; a failure no rule reads is Inconclusive.
     """
     if result.exit_code == 0 and not result.timed_out:
@@ -218,9 +225,7 @@ def classify_result(
     if result.timed_out:
         verdict = TestVerdict.FailInvalidTest
         suggestion = "test timed out on the patched tree; make the patched code terminate"
-    elif _fails_in_test_file(result.stderr_tail) and any(
-        marker in result.stderr_tail for marker in INVALID_MARKERS
-    ):
+    elif _test_is_broken(result.stderr_tail):
         verdict = TestVerdict.FailInvalidTest
         suggestion = ("test failed during import or collection on the patched tree; "
                       "fix the patched code it imports")

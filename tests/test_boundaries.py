@@ -44,3 +44,18 @@ def test_only_workspace_and_testkit_know_the_reserved_test_dir():
         )
     )
     assert knowing == ["testkit.py", "workspace.py"]
+
+
+def test_only_the_orchestrator_names_actions():
+    # Its action table is the one place that says what the agent may do.
+    knowing = sorted(
+        path.name
+        for path in SOURCE.glob("*.py")
+        if any(
+            f'"{name}"' in path.read_text(encoding="utf-8")
+            for name in (
+                "set_keywords", "open_outline", "edit_region", "switch_file", "propose_test",
+            )
+        )
+    )
+    assert knowing == ["orchestrator.py"]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -22,8 +23,9 @@ from calcfix import (
     run_scenario,
 )
 from repeton import orchestrator, testkit
-from repeton.agentio import Message
+from repeton.agentio import Message, ReplayBackend
 from repeton.errors import HttpFailure, IoFailure
+from repeton.patcher import IcsrStage
 from repeton.workspace import DiffDocument, compute_diff, take_snapshot
 from repeton.orchestrator import (
     SUMMARIZER_INSTRUCTIONS,
@@ -169,6 +171,16 @@ def test_cannot_reproduce_leaves_no_diff(calc_repo, work_root):
     assert report.final_diff.text == ""
 
 
+# ---- the action table ----
+
+def test_every_stage_allows_an_action():
+    actions = orchestrator.ACTIONS
+    for stage in IcsrStage:
+        assert any(stage in row.stages for row in actions.values()), stage
+    assert actions["done"].stages == (IcsrStage.Edit,)
+    assert IcsrStage.Keywords not in actions["rollback"].stages
+
+
 # ---- agent misbehavior ----
 
 def test_malformed_reply_is_retried_once(calc_repo, work_root):
@@ -206,16 +218,24 @@ def test_rejected_test_proposals_consume_versions(calc_repo, work_root):
     assert "reproduction-certified" in report.event_names
 
 
-def test_failed_action_reports_back_and_continues(calc_repo, work_root):
+@pytest.mark.parametrize(
+    "args",
+    [{"start": "five", "end": "5", "replacement": "x"},
+     {"start": "5", "replacement": "x"}],
+    ids=["typo-in-span", "missing-arg"],
+)
+def test_failed_action_reports_back_and_continues(calc_repo, work_root, args):
     script = calcfix.resolved_script()
-    script.insert(
-        6,
-        action("typo in span", "edit_region",
-               start="five", end="5", replacement="x"),
+    script.insert(6, action("slip", "edit_region", **args))
+    backend = PromptLog(script)
+    report = run_irv(
+        make_task("calc-custom", calc_repo), IrvConfig(work_root=str(work_root)), backend
     )
-    report = run_custom(calc_repo, work_root, script)
     assert report.outcome is RunOutcome.Resolved
     assert report.llm_calls_used == GOLDEN_CALLS["resolved"] + 1
+    failed = [m for m in backend.last_messages if "Action failed" in m]
+    assert len(failed) == 1
+    assert "edit_region(start, end, replacement)" in failed[0]
 
 
 def test_empty_search_result_invites_rollback(calc_repo, work_root):
@@ -603,9 +623,56 @@ def test_second_pass_opens_with_actions_its_stage_allows(calc_repo, work_root):
     assert report.iterations_used == 2
     openings = [m for m in backend.last_messages if "repair pass" in m]
     assert len(openings) == 2
-    assert "(action: set_keywords" in openings[0]
+    assert "set_keywords(keywords)" in openings[0]
     assert openings[1].startswith("[stage: Edit]")
     assert "set_keywords" not in openings[1]
+
+
+# The args each handler reads, written out apart from the action table.
+ACTION_ARGS = {
+    "propose_test": {"file_name", "source"},
+    "set_keywords": {"keywords"},
+    "search": set(),
+    "open_outline": {"path"},
+    "view_region": {"target", "start", "end"},
+    "edit_region": {"start", "end", "replacement"},
+    "switch_file": {"path"},
+    "rollback": {"stage", "reason"},
+    "done": set(),
+}
+ALLOWED_LINE = re.compile(r"^Allowed actions: (.*)\.$", re.MULTILINE)
+LISTED_ACTION = re.compile(r"(\w+)(?:\(([^)]*)\))?")
+
+
+class ReplayLog:
+    """Replay backend, and its own session, that keeps every message of
+    every prompt."""
+
+    def __init__(self, transcript: Path) -> None:
+        self.replay = ReplayBackend(transcript).session()
+        self.messages: set[str] = set()
+
+    def session(self) -> ReplayLog:
+        return self
+
+    def complete(self, messages, params) -> str:
+        self.messages.update(m.content for m in messages)
+        return self.replay.complete(messages, params)
+
+
+def test_every_prompt_names_the_args_of_the_actions_it_allows(calc_repo, work_root):
+    backend = ReplayLog(calcfix.TRANSCRIPT_DIR / "resolved.jsonl")
+    report = run_scenario("resolved", calc_repo, work_root, backend)
+    assert report.outcome is RunOutcome.Resolved
+    allowed = set()
+    for message in backend.messages:
+        for line in ALLOWED_LINE.findall(message):
+            for name, told in LISTED_ACTION.findall(line):
+                allowed.add(name)
+                named = {arg.strip("[]") for arg in told.split(", ")}
+                assert ACTION_ARGS[name] <= named, (name, message)
+    # Reproduction and all five stages: every action is allowed somewhere.
+    assert allowed == set(ACTION_ARGS)
 
 
 def test_budget_end_reports_the_last_edit(calc_repo, work_root):

@@ -18,12 +18,7 @@ from repeton.errors import (
     SpanOutOfBounds,
     StageIncomplete,
 )
-from repeton.patcher import (
-    STAGE_VOCABULARY,
-    IcsrMachine,
-    IcsrStage,
-    RegionEdit,
-)
+from repeton.patcher import IcsrMachine, IcsrStage, RegionEdit
 from repeton.workspace import take_snapshot
 
 
@@ -70,12 +65,6 @@ def test_stages_advance_in_fixed_order(calc_ws):
     assert machine.state.active_file == "calc.py"
     machine.advance_stage((4, 5))
     assert machine.state.stage is IcsrStage.Edit
-
-
-def test_every_stage_has_a_vocabulary():
-    assert set(STAGE_VOCABULARY) == set(IcsrStage)
-    assert "done" in STAGE_VOCABULARY[IcsrStage.Edit]
-    assert "rollback" not in STAGE_VOCABULARY[IcsrStage.Keywords]
 
 
 def test_advance_rejects_wrong_evidence(calc_ws):

@@ -286,6 +286,16 @@ IMPORTS_CALC = (
     "sys.path.insert(0, os.getcwd())\n"
     "from calc import add\n"
 )
+# Turns the repository's broken import into its own failure; the chained
+# traceback still names ImportError, and its last frame is the test's.
+CATCHES_THE_IMPORT = (
+    "import os, sys\n"
+    "sys.path.insert(0, os.getcwd())\n"
+    "try:\n"
+    "    from calc import add\n"
+    "except ImportError as exc:\n"
+    "    raise AssertionError(f'calc does not import: {exc}')\n"
+)
 
 
 @pytest.mark.parametrize(
@@ -296,8 +306,11 @@ IMPORTS_CALC = (
          testkit.TestVerdict.FailBugPresent),
         (None, "from collections import Mapping\n" + IMPORTS_CALC,
          testkit.TestVerdict.FailInvalidTest),
+        ("from collections import Mapping\n", CATCHES_THE_IMPORT,
+         testkit.TestVerdict.FailBugPresent),
+        (None, "import missing_module_xyz\n", testkit.TestVerdict.FailInvalidTest),
     ],
-    ids=["in-repository", "in-test"],
+    ids=["in-repository", "in-test", "caught-by-test", "missing-module"],
 )
 def test_import_error_is_invalid_only_when_raised_in_the_test(
     calc_ws, broken_calc, source, expected
